@@ -158,7 +158,7 @@ func main() {
 	// simulation. The source was already parsed (and optionally optimized)
 	// above for the emit/vet paths, so resolve the app from p directly
 	// rather than re-parsing through the plan's ResolveApp.
-	shards, err := machine.ShardCount()
+	exec, err := machine.ExecSpec()
 	if err != nil {
 		fail(err)
 	}
@@ -166,7 +166,7 @@ func main() {
 		System:     machine.System,
 		IssueWidth: machine.Width,
 		Tags:       machine.Tags,
-		Exec:       &api.ExecSpec{Shards: shards},
+		Exec:       exec,
 		Source:     string(src),
 		Args:       args,
 		Cache:      cacheFlags.Spec(),
@@ -186,11 +186,9 @@ func main() {
 		rec = trace.NewRecorder(0)
 		cfg.Tracer = rec
 	}
-	// tyrc always ran the core with invariant checking — but the sanitizer
-	// forces sharded runs serial (core.Config), so an explicit -shards N>1
-	// opts out of it. The harness still validates the result against the
-	// reference interpreter either way.
-	cfg.Sanitize = shards <= 1
+	// tyrc always runs the core with the sanitizer armed; the harness
+	// also validates the result against the reference interpreter.
+	cfg.Sanitize = true
 
 	rs, err := harness.Run(app, req.System, cfg)
 	if err != nil {

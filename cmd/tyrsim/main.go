@@ -110,7 +110,7 @@ func main() {
 		return
 	}
 
-	shards, err := machine.ShardCount()
+	exec, err := machine.ExecSpec()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tyrsim: %v\n", err)
 		os.Exit(2)
@@ -125,7 +125,7 @@ func main() {
 		System:     machine.System,
 		IssueWidth: machine.Width,
 		Tags:       machine.Tags,
-		Exec:       &api.ExecSpec{Shards: shards},
+		Exec:       exec,
 		GlobalTags: *globalTags,
 		SkipCheck:  *globalTags > 0, // a deadlocked run has no output to validate
 		Cache:      cacheFlags.Spec(),

@@ -89,10 +89,9 @@ func (s *CacheSpec) Config() (*cache.Config, error) {
 // scheduling knobs land here rather than growing top-level scalars one
 // PR at a time.
 type ExecSpec struct {
-	// Shards splits the tagged engines (tyr/unordered) across worker
-	// goroutines; results are bit-identical to the sequential run. Other
-	// systems, and runs with a tracer, sanitizer, or cache attached, are
-	// serial regardless. 0 or 1 = sequential.
+	// Shards survives from the removed sharded execution so existing
+	// clients keep decoding: 0 or 1 (every run is single-threaded) is
+	// accepted and ignored, anything else is a validation error.
 	Shards int `json:"shards,omitempty"`
 	// Batch is the lockstep batch width B: the server may coalesce up to
 	// B queued requests that share this request's compiled graph into one
@@ -142,26 +141,14 @@ type Request struct {
 	// MaxCycles overrides the engine's runaway budget.
 	MaxCycles int64 `json:"max_cycles,omitempty"`
 
-	// Exec groups the scheduling knobs (shards, batch, deadline_ms).
+	// Exec groups the scheduling knobs (batch, deadline_ms).
 	Exec *ExecSpec `json:"exec,omitempty"`
 
-	// Shards is the deprecated top-level spelling of exec.shards; it
-	// still decodes (a validation failure's 400 body carries a
+	// TimeoutMS is the deprecated top-level spelling of exec.deadline_ms;
+	// it still decodes (a validation failure's 400 body carries a
 	// deprecation note), but setting both to different values is an
 	// error.
-	Shards int `json:"shards,omitempty"`
-	// TimeoutMS is the deprecated top-level spelling of exec.deadline_ms,
-	// under the same back-compat rules as Shards.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-// ExecShards resolves the effective shard count across the exec block and
-// the deprecated top-level field (Validate rejects a conflict).
-func (r *Request) ExecShards() int {
-	if r.Exec != nil && r.Exec.Shards != 0 {
-		return r.Exec.Shards
-	}
-	return r.Shards
 }
 
 // ExecBatch resolves the effective lockstep batch width (exec block only;
@@ -276,22 +263,19 @@ func (r *Request) Validate() error {
 		"global_tags":  int64(r.GlobalTags),
 		"queue_cap":    int64(r.QueueCap),
 		"load_latency": int64(r.LoadLatency),
-		"shards":       int64(r.Shards),
 		"max_cycles":   r.MaxCycles,
 		"timeout_ms":   r.TimeoutMS,
 	}
 	if r.Exec != nil {
-		fields["exec.shards"] = int64(r.Exec.Shards)
 		fields["exec.batch"] = int64(r.Exec.Batch)
 		fields["exec.deadline_ms"] = r.Exec.DeadlineMS
 	}
 	checkNonNegative(&errs, fields)
 	var notes []string
-	if r.Shards != 0 {
-		notes = append(notes, `top-level "shards" is deprecated; use exec.shards`)
-		if r.Exec != nil && r.Exec.Shards != 0 && r.Exec.Shards != r.Shards {
-			errs = append(errs, FieldError{"shards", fmt.Sprintf("conflicts with exec.shards (%d vs %d)", r.Shards, r.Exec.Shards)})
-		}
+	if r.Exec != nil && r.Exec.Shards != 0 && r.Exec.Shards != 1 {
+		errs = append(errs, FieldError{"exec.shards", fmt.Sprintf("must be 0 or 1 (got %d)", r.Exec.Shards)})
+		notes = append(notes, "sharded execution was removed: every run is single-threaded; "+
+			"parallelism comes from pool workers, sweeps, and exec.batch")
 	}
 	if r.TimeoutMS != 0 {
 		notes = append(notes, `top-level "timeout_ms" is deprecated; use exec.deadline_ms`)
@@ -314,13 +298,11 @@ func (r *Request) Validate() error {
 // workload resolvers — replacing the former SysConfig()/ResolveApp()
 // bridge sprawl so new exec knobs surface in exactly one place.
 type Plan struct {
-	// Cfg is the harness configuration (exec.shards and exec.batch
-	// resolved into Cfg.Shards/Cfg.Batch). Per-call plumbing (Stop,
+	// Cfg is the harness configuration. Per-call plumbing (Stop,
 	// Telemetry, Tracer, Compiler) is left for the caller to attach.
 	Cfg harness.SysConfig
-	// Shards, Batch, and DeadlineMS are the resolved exec knobs;
-	// DeadlineMS zero means the server or CLI default.
-	Shards     int
+	// Batch and DeadlineMS are the resolved exec knobs; DeadlineMS zero
+	// means the server or CLI default.
 	Batch      int
 	DeadlineMS int64
 
@@ -349,11 +331,8 @@ func (r *Request) Plan() (*Plan, error) {
 			TracePoints: r.TracePoints,
 			SkipCheck:   r.SkipCheck,
 			Sanitize:    r.Sanitize,
-			Shards:      r.ExecShards(),
-			Batch:       r.ExecBatch(),
 			MaxCycles:   r.MaxCycles,
 		},
-		Shards:     r.ExecShards(),
 		Batch:      r.ExecBatch(),
 		DeadlineMS: r.ExecDeadlineMS(),
 		req:        r,

@@ -36,7 +36,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		Cache:       &CacheSpec{L1: "sets=16,ways=2,line=4,lat=1", MSHRs: 4, Passthrough: true},
 		TracePoints: -1,
 		Sanitize:    true,
-		Exec:        &ExecSpec{Shards: 4, Batch: 8, DeadlineMS: 5000},
+		Exec:        &ExecSpec{Shards: 1, Batch: 8, DeadlineMS: 5000},
 		MaxCycles:   1 << 20,
 	}
 	data, err := json.Marshal(in)
@@ -89,7 +89,7 @@ func TestValidateCollectsAllFieldErrors(t *testing.T) {
 		Scale:      "huge",
 		App:        "dmv",
 		IssueWidth: -1,
-		Shards:     -2,
+		Exec:       &ExecSpec{Shards: -2},
 		TimeoutMS:  -5,
 		Cache:      &CacheSpec{L1: "sets=banana"},
 	}
@@ -98,7 +98,7 @@ func TestValidateCollectsAllFieldErrors(t *testing.T) {
 	if !errors.As(err, &ve) {
 		t.Fatalf("err = %v, want *ValidationError", err)
 	}
-	want := []string{"version", "system", "scale", "issue_width", "shards", "timeout_ms", "cache"}
+	want := []string{"version", "system", "scale", "issue_width", "exec.shards", "timeout_ms", "cache"}
 	got := map[string]bool{}
 	for _, f := range ve.Fields {
 		got[f.Field] = true
@@ -138,7 +138,7 @@ func TestPlanConversion(t *testing.T) {
 		App: "dmv", System: "tyr",
 		IssueWidth: 32, Tags: 4, GlobalTags: 8, QueueCap: 2,
 		LoadLatency: 7, TracePoints: 128, SkipCheck: true, Sanitize: true,
-		Exec:      &ExecSpec{Shards: 4, Batch: 16, DeadlineMS: 2500},
+		Exec:      &ExecSpec{Shards: 1, Batch: 16, DeadlineMS: 2500},
 		MaxCycles: 999,
 		Cache:     &CacheSpec{MemLatency: 50, MSHRs: 2},
 	}
@@ -150,7 +150,7 @@ func TestPlanConversion(t *testing.T) {
 	want := harness.SysConfig{
 		IssueWidth: 32, Tags: 4, GlobalTags: 8, QueueCap: 2,
 		LoadLatency: 7, TracePoints: 128, SkipCheck: true, Sanitize: true,
-		Shards: 4, Batch: 16, MaxCycles: 999, Cache: sc.Cache,
+		MaxCycles: 999, Cache: sc.Cache,
 	}
 	if sc.Cache == nil || sc.Cache.MemLatency != 50 || sc.Cache.MSHRs != 2 {
 		t.Errorf("cache spec not applied: %+v", sc.Cache)
@@ -158,56 +158,71 @@ func TestPlanConversion(t *testing.T) {
 	if !reflect.DeepEqual(sc, want) {
 		t.Errorf("conversion mismatch:\n got %+v\nwant %+v", sc, want)
 	}
-	if plan.Shards != 4 || plan.Batch != 16 || plan.DeadlineMS != 2500 {
-		t.Errorf("exec knobs not resolved: shards=%d batch=%d deadline=%d",
-			plan.Shards, plan.Batch, plan.DeadlineMS)
+	if plan.Batch != 16 || plan.DeadlineMS != 2500 {
+		t.Errorf("exec knobs not resolved: batch=%d deadline=%d",
+			plan.Batch, plan.DeadlineMS)
 	}
 }
 
-// TestExecBackCompat pins the deprecated top-level spellings: they still
-// decode and resolve, and the exec block wins whenever both are set.
+// TestExecBackCompat pins the deprecated top-level timeout_ms: it still
+// decodes and resolves, and the exec block wins whenever both are set.
+// exec.shards outlives sharded execution only as 0 or 1.
 func TestExecBackCompat(t *testing.T) {
 	var r Request
-	if err := json.Unmarshal([]byte(`{"system":"tyr","app":"dmv","shards":4,"timeout_ms":100}`), &r); err != nil {
+	if err := json.Unmarshal([]byte(`{"system":"tyr","app":"dmv","timeout_ms":100}`), &r); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Validate(); err != nil {
-		t.Fatalf("deprecated spellings must stay valid: %v", err)
+		t.Fatalf("deprecated spelling must stay valid: %v", err)
 	}
-	if r.ExecShards() != 4 || r.ExecDeadlineMS() != 100 {
-		t.Errorf("top-level fields did not resolve: shards=%d deadline=%d",
-			r.ExecShards(), r.ExecDeadlineMS())
+	if r.ExecDeadlineMS() != 100 {
+		t.Errorf("top-level timeout_ms did not resolve: deadline=%d", r.ExecDeadlineMS())
 	}
 
 	// Agreeing values coexist; the exec block is simply authoritative.
-	r.Exec = &ExecSpec{Shards: 4, DeadlineMS: 100}
+	r.Exec = &ExecSpec{DeadlineMS: 100}
 	if err := r.Validate(); err != nil {
 		t.Fatalf("agreeing exec and top-level values rejected: %v", err)
 	}
 
-	// Conflicting nonzero values are a hard 400, not a silent pick.
-	r.Exec = &ExecSpec{Shards: 8}
-	err := r.Validate()
-	var ve *ValidationError
-	if !errors.As(err, &ve) {
-		t.Fatalf("conflicting shards: err = %v, want *ValidationError", err)
-	}
-	fields := map[string]bool{}
-	for _, f := range ve.Fields {
-		fields[f.Field] = true
-	}
-	if !fields["shards"] {
-		t.Errorf("conflict error missing shards field: %v", ve)
-	}
-	// The rejection carries the migration guidance as notes.
-	found := false
-	for _, n := range ve.Notes {
-		if strings.Contains(n, "exec.shards") {
-			found = true
+	// Conflicting nonzero values are a hard 400, not a silent pick, and
+	// the rejection carries the migration guidance as a note.
+	r.Exec = &ExecSpec{DeadlineMS: 200}
+	assertFieldAndNote(t, r.Validate(), "timeout_ms", "exec.deadline_ms")
+
+	// exec.shards 0 and 1 are accepted; anything above names the field
+	// and explains the removal.
+	for _, n := range []int{0, 1} {
+		r := Request{System: "tyr", App: "dmv", Exec: &ExecSpec{Shards: n}}
+		if err := r.Validate(); err != nil {
+			t.Errorf("exec.shards=%d rejected: %v", n, err)
 		}
 	}
+	r = Request{System: "tyr", App: "dmv", Exec: &ExecSpec{Shards: 4}}
+	assertFieldAndNote(t, r.Validate(), "exec.shards", "removed")
+}
+
+// assertFieldAndNote checks err is a *ValidationError naming field and
+// carrying a note that mentions noteFrag.
+func assertFieldAndNote(t *testing.T, err error, field, noteFrag string) {
+	t.Helper()
+	var ve *ValidationError
+	if !errors.As(err, &ve) {
+		t.Fatalf("err = %v, want *ValidationError", err)
+	}
+	found := false
+	for _, f := range ve.Fields {
+		found = found || f.Field == field
+	}
 	if !found {
-		t.Errorf("validation error carries no deprecation note: %v", ve.Notes)
+		t.Errorf("error missing %s field: %v", field, ve)
+	}
+	found = false
+	for _, n := range ve.Notes {
+		found = found || strings.Contains(n, noteFrag)
+	}
+	if !found {
+		t.Errorf("no note mentions %q: %v", noteFrag, ve.Notes)
 	}
 }
 
@@ -321,7 +336,6 @@ func FuzzRequestDecodeValidate(f *testing.F) {
 		}
 		// Validate, the exec resolvers, and Plan must never panic on any
 		// decodable request; a valid request must plan cleanly.
-		_ = r.ExecShards()
 		_ = r.ExecBatch()
 		_ = r.ExecDeadlineMS()
 		if err := r.Validate(); err != nil {

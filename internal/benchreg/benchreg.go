@@ -25,7 +25,7 @@ type Doc struct {
 	Schema string `json:"schema"`
 	Scale  string `json:"scale"`
 	// Note records host conditions the numbers depend on — GOMAXPROCS and
-	// the shard sweep, chiefly — so a wall-clock comparison across files
+	// the batch sweep, chiefly — so a wall-clock comparison across files
 	// can be judged. It never enters the comparison itself.
 	Note    string   `json:"note,omitempty"`
 	Systems []System `json:"systems"`

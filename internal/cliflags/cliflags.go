@@ -64,30 +64,6 @@ func DeprecatedAlias(fs *flag.FlagSet, old, canonical string) {
 		old, fmt.Sprintf("deprecated alias for -%s", canonical))
 }
 
-// ShardList is the -shards value: one or more worker-shard counts. Tools
-// that run a single simulation (tyrsim, tyrc) take one count via
-// ShardCount; tyrexp bench sweeps the whole list. The zero value means
-// "unset" — one shard, sequential execution.
-type ShardList []int
-
-func (s *ShardList) String() string {
-	parts := make([]string, len(*s))
-	for i, n := range *s {
-		parts[i] = strconv.Itoa(n)
-	}
-	return strings.Join(parts, ",")
-}
-
-// Set parses a comma-separated list of positive shard counts.
-func (s *ShardList) Set(v string) error {
-	out, err := parsePosList(v, "shard count")
-	if err != nil {
-		return err
-	}
-	*s = out
-	return nil
-}
-
 // BatchList is the -batch value: one or more lockstep batch widths.
 // Tools that run a single simulation take one width via BatchWidth;
 // tyrexp bench sweeps the whole list. The zero value means "unset" — no
@@ -104,49 +80,27 @@ func (b *BatchList) String() string {
 
 // Set parses a comma-separated list of positive batch widths.
 func (b *BatchList) Set(v string) error {
-	out, err := parsePosList(v, "batch width")
-	if err != nil {
-		return err
+	var out BatchList
+	for _, f := range strings.Split(v, ",") {
+		f = strings.TrimSpace(f)
+		n, err := strconv.Atoi(f)
+		if err != nil || n < 1 {
+			return fmt.Errorf("batch width %q: want a positive integer", f)
+		}
+		out = append(out, n)
 	}
 	*b = out
 	return nil
 }
 
-func parsePosList(v, what string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(v, ",") {
-		f = strings.TrimSpace(f)
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("%s %q: want a positive integer", what, f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// Machine groups the system-selection flags: -width, -tags, -shards, and
-// -batch, plus -system (with the deprecated -sys alias) when defSystem is
+// Machine groups the system-selection flags: -width, -tags, and -batch,
+// plus -system (with the deprecated -sys alias) when defSystem is
 // non-empty.
 type Machine struct {
 	System string
 	Width  int
 	Tags   int
-	Shards ShardList
 	Batch  BatchList
-}
-
-// ShardCount resolves -shards for tools that run one simulation: the
-// single listed count, 1 when the flag was not used, and an error when a
-// sweep list was given.
-func (m *Machine) ShardCount() (int, error) {
-	switch len(m.Shards) {
-	case 0:
-		return 1, nil
-	case 1:
-		return m.Shards[0], nil
-	}
-	return 0, fmt.Errorf("-shards takes a single count here (got %s); lists are for tyrexp bench sweeps", m.Shards.String())
 }
 
 // BatchWidth resolves -batch for tools that run one simulation: the
@@ -163,25 +117,18 @@ func (m *Machine) BatchWidth() (int, error) {
 }
 
 // ExecSpec converts the scheduling flags into the request's exec block:
-// nil when neither -shards nor -batch was used.
+// nil when -batch was not used.
 func (m *Machine) ExecSpec() (*api.ExecSpec, error) {
-	shards, err := m.ShardCount()
-	if err != nil {
-		return nil, err
-	}
 	batch, err := m.BatchWidth()
-	if err != nil {
+	if err != nil || batch <= 1 {
 		return nil, err
 	}
-	if shards <= 1 && batch <= 1 {
-		return nil, nil
-	}
-	return &api.ExecSpec{Shards: shards, Batch: batch}, nil
+	return &api.ExecSpec{Batch: batch}, nil
 }
 
 // RegisterMachine registers the machine group on fs. Tools that sweep all
 // systems (tyrexp experiments) pass defSystem "" to get only
-// -width/-tags/-shards/-batch.
+// -width/-tags/-batch.
 func RegisterMachine(fs *flag.FlagSet, defSystem string) *Machine {
 	m := &Machine{}
 	if defSystem != "" {
@@ -190,7 +137,6 @@ func RegisterMachine(fs *flag.FlagSet, defSystem string) *Machine {
 	}
 	fs.IntVar(&m.Width, "width", 128, "issue width")
 	fs.IntVar(&m.Tags, "tags", 64, "TYR tags per local tag space")
-	fs.Var(&m.Shards, "shards", "worker shards for the tagged engines, bit-identical to sequential (default 1; tyrexp bench takes a comma list to sweep)")
 	fs.Var(&m.Batch, "batch", "lockstep batch width for duplicate-workload runs, bit-identical per instance (default 1; tyrexp bench takes a comma list to sweep)")
 	return m
 }

@@ -49,53 +49,53 @@ func TestCanonicalSpellingDoesNotWarn(t *testing.T) {
 	}
 }
 
-func TestShardList(t *testing.T) {
+func TestBatchList(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	m := RegisterMachine(fs, "")
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := m.ShardCount(); err != nil || n != 1 {
-		t.Errorf("unset -shards: ShardCount() = %d, %v; want 1, nil", n, err)
+	if n, err := m.BatchWidth(); err != nil || n != 1 {
+		t.Errorf("unset -batch: BatchWidth() = %d, %v; want 1, nil", n, err)
 	}
 
 	fs = flag.NewFlagSet("t", flag.ContinueOnError)
 	m = RegisterMachine(fs, "")
-	if err := fs.Parse([]string{"-shards", "4"}); err != nil {
+	if err := fs.Parse([]string{"-batch", "4"}); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := m.ShardCount(); err != nil || n != 4 {
-		t.Errorf("-shards 4: ShardCount() = %d, %v; want 4, nil", n, err)
+	if n, err := m.BatchWidth(); err != nil || n != 4 {
+		t.Errorf("-batch 4: BatchWidth() = %d, %v; want 4, nil", n, err)
 	}
 
 	fs = flag.NewFlagSet("t", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	m = RegisterMachine(fs, "")
-	if err := fs.Parse([]string{"-shards", "1, 2,4,8"}); err != nil {
+	if err := fs.Parse([]string{"-batch", "1, 2,4,8"}); err != nil {
 		t.Fatal(err)
 	}
-	want := ShardList{1, 2, 4, 8}
-	if len(m.Shards) != len(want) {
-		t.Fatalf("sweep list = %v, want %v", m.Shards, want)
+	want := BatchList{1, 2, 4, 8}
+	if len(m.Batch) != len(want) {
+		t.Fatalf("sweep list = %v, want %v", m.Batch, want)
 	}
 	for i := range want {
-		if m.Shards[i] != want[i] {
-			t.Fatalf("sweep list = %v, want %v", m.Shards, want)
+		if m.Batch[i] != want[i] {
+			t.Fatalf("sweep list = %v, want %v", m.Batch, want)
 		}
 	}
-	if m.Shards.String() != "1,2,4,8" {
-		t.Errorf("String() = %q, want %q", m.Shards.String(), "1,2,4,8")
+	if m.Batch.String() != "1,2,4,8" {
+		t.Errorf("String() = %q, want %q", m.Batch.String(), "1,2,4,8")
 	}
-	if _, err := m.ShardCount(); err == nil {
-		t.Error("ShardCount() on a sweep list must error for single-run tools")
+	if _, err := m.BatchWidth(); err == nil {
+		t.Error("BatchWidth() on a sweep list must error for single-run tools")
 	}
 
 	for _, bad := range []string{"0", "-1", "x", "2,,4", "2,zero"} {
 		fs = flag.NewFlagSet("t", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		m = RegisterMachine(fs, "")
-		if err := fs.Parse([]string{"-shards", bad}); err == nil {
-			t.Errorf("-shards %q: expected a parse error, got %v", bad, m.Shards)
+		if err := fs.Parse([]string{"-batch", bad}); err == nil {
+			t.Errorf("-batch %q: expected a parse error, got %v", bad, m.Batch)
 		}
 	}
 }

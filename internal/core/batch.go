@@ -3,28 +3,18 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/cancel"
 	"repro/internal/dfg"
+	"repro/internal/lockstep"
 	"repro/internal/mem"
 )
 
-// Batched lockstep execution (DESIGN.md §12): one worker advances B
-// independent simulation instances of the same compiled graph, one cycle
-// each per round. Every piece of mutable machine state — token stores,
-// tag pools and maps, calendar queues, ready deques, counters — already
-// lives on the per-instance machine struct, so instances are isolated by
-// construction and each one's Result is bit-identical to a serial run of
-// that instance alone (the same equivalence discipline as sharding,
-// enforced by the differential suite and committed golden digests). What
-// the batch shares is everything read-only: the graph itself and the
-// graphPlan's firing metadata (constant prefills, bitset widths,
-// reserves, region indices), so graph traversal and dispatch state stay
-// hot across instances the way vector lanes amortize instruction fetch.
-//
-// Instances retire independently: a finished (or failed, or cancelled)
-// instance clears its bit in the active-instance bitset and the batch
-// rolls on without it, so one long-running cell never stalls its
-// neighbours' completions and a mid-batch deadline cancels exactly one
-// instance.
+// Batched lockstep execution (DESIGN.md §11) runs on the shared
+// internal/lockstep driver. What a core batch shares is everything
+// read-only: the graph itself and the graphPlan's firing metadata
+// (constant prefills, bitset widths, reserves, region indices), so graph
+// traversal and dispatch state stay hot across instances the way vector
+// lanes amortize instruction fetch.
 
 // BatchInstance is one instance of a lockstep batch: its own memory image
 // (mutated in place, exactly as Run would) and its own configuration —
@@ -44,14 +34,7 @@ type BatchInstance struct {
 // failures (cancellation via the instance's Stop flag, MaxCycles,
 // program bugs); a deadlock is a Result outcome, not an error, exactly
 // as in Run.
-type BatchOutcome struct {
-	Res Result
-	Err error
-}
-
-// maxBatch bounds the lockstep width; beyond this the per-instance state
-// no longer fits any cache level and the amortization argument inverts.
-const maxBatch = 1024
+type BatchOutcome = lockstep.Outcome[Result]
 
 // RunBatch executes every instance of a lockstep batch against one
 // compiled graph. The returned slice has one outcome per instance, in
@@ -60,20 +43,19 @@ const maxBatch = 1024
 // nothing ran.
 //
 // Instances run their sequential cycle loops interleaved one cycle at a
-// time; Shards is ignored inside a batch (each instance runs the
-// single-goroutine loop, which sharding is bit-identical to).
+// time.
 func RunBatch(g *dfg.Graph, insts []BatchInstance) ([]BatchOutcome, error) {
 	if len(insts) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
 	}
-	if len(insts) > maxBatch {
-		return nil, fmt.Errorf("core: batch of %d exceeds the %d-instance cap", len(insts), maxBatch)
+	if len(insts) > lockstep.MaxWidth {
+		return nil, fmt.Errorf("core: batch of %d exceeds the %d-instance cap", len(insts), lockstep.MaxWidth)
 	}
 	plan, err := planFor(g, insts[0].Im)
 	if err != nil {
 		return nil, err
 	}
-	ms := make([]*machine, len(insts))
+	ms := make([]lockstep.Machine[Result], len(insts))
 	for i := range insts {
 		cfg := insts[i].Cfg.withDefaults()
 		if err := validateConfig(cfg); err != nil {
@@ -82,82 +64,16 @@ func RunBatch(g *dfg.Graph, insts []BatchInstance) ([]BatchOutcome, error) {
 		if !plan.matches(g, insts[i].Im) {
 			return nil, fmt.Errorf("core: batch instance %d: memory image region layout differs from instance 0 (batches share one graph plan)", i)
 		}
-		ms[i] = newMachineFromPlan(g, insts[i].Im, cfg, plan)
+		ms[i] = lane{newMachineFromPlan(g, insts[i].Im, cfg, plan)}
 	}
-	b := &batchRunner{
-		ms:     ms,
-		out:    make([]BatchOutcome, len(ms)),
-		active: make([]uint64, (len(ms)+63)/64),
-	}
-	for i := range ms {
-		if err := ms[i].start(); err != nil {
-			b.out[i] = BatchOutcome{Err: err}
-			continue
-		}
-		b.setActive(i)
-	}
-	b.run()
-	return b.out, nil
+	return lockstep.Run(ms), nil
 }
 
-// batchRunner drives B machines in lockstep. The active bitset tracks
-// instances still running; retirement clears a bit without disturbing
-// the others.
-type batchRunner struct {
-	ms      []*machine
-	out     []BatchOutcome
-	active  []uint64
-	nActive int
-}
+// lane adapts a machine to the lockstep driver.
+type lane struct{ *machine }
 
-func (b *batchRunner) setActive(i int) {
-	b.active[i>>6] |= 1 << (i & 63)
-	b.nActive++
-}
-
-//tyr:hotpath
-func (b *batchRunner) isActive(i int) bool {
-	return b.active[i>>6]&(1<<(i&63)) != 0
-}
-
-// retire removes instance i from the lockstep rotation and records its
-// outcome: the finished Result, or the error that ended it.
-func (b *batchRunner) retire(i int, err error) {
-	b.active[i>>6] &^= 1 << (i & 63)
-	b.nActive--
-	if err != nil {
-		b.out[i] = BatchOutcome{Err: err}
-		return
-	}
-	res, ferr := b.ms[i].finish()
-	b.out[i] = BatchOutcome{Res: res, Err: ferr}
-}
-
-// run is the lockstep loop: every round advances each still-active
-// instance by one cycle, polling that instance's own cancel flag first so
-// a per-request deadline retires exactly its instance within one cycle
-// boundary.
-//
-//tyr:cycleloop
-func (b *batchRunner) run() {
-	for b.nActive > 0 {
-		for i := range b.ms {
-			if !b.isActive(i) {
-				continue
-			}
-			m := b.ms[i]
-			if m.cfg.Stop.Stopped() {
-				b.retire(i, m.stopErr())
-				continue
-			}
-			done, err := m.stepCycle()
-			if err != nil {
-				b.retire(i, err)
-				continue
-			}
-			if done {
-				b.retire(i, nil)
-			}
-		}
-	}
-}
+func (l lane) Start() error             { return l.start() }
+func (l lane) Stop() *cancel.Flag       { return l.cfg.Stop }
+func (l lane) StopErr() error           { return l.stopErr() }
+func (l lane) StepCycle() (bool, error) { return l.stepCycle() }
+func (l lane) Finish() (Result, error)  { return l.finish() }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cancel"
+	"repro/internal/lockstep"
 	"repro/internal/mem"
 )
 
@@ -140,7 +141,7 @@ func TestBatchRejectsEmptyAndOversized(t *testing.T) {
 	if _, err := RunBatch(g, nil); err == nil {
 		t.Error("empty batch: want error")
 	}
-	big := make([]BatchInstance, maxBatch+1)
+	big := make([]BatchInstance, lockstep.MaxWidth+1)
 	for i := range big {
 		big[i] = BatchInstance{Cfg: Config{Policy: PolicyGlobalUnlimited}, Im: mem.NewImage()}
 	}

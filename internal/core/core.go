@@ -147,35 +147,6 @@ type Config struct {
 	// the run returns cancel.ErrStopped within one cycle. Nil (the
 	// default) costs a single nil check per cycle and changes nothing.
 	Stop *cancel.Flag
-
-	// Shards splits the run across worker goroutines that each own a
-	// disjoint subset of the graph's concurrent blocks — and with them
-	// those blocks' token stores, tag maps, and calendar queues — with
-	// cross-shard tokens routed through SPSC ring mailboxes at cycle
-	// boundaries (see shard.go and DESIGN.md §11). Results are
-	// bit-identical to the sequential machine. 0 or 1 keeps the
-	// single-goroutine loop. Runs that attach a Tracer, enable Sanitize
-	// or CheckInvariants, or route memory through a hierarchy model are
-	// forced serial: their event streams and accounting are
-	// order-sensitive at sub-cycle granularity.
-	Shards int
-
-	// ShardWeights, when it covers every block, biases the block→shard
-	// assignment by expected work (index = block id; per-block fire
-	// counts from an internal/trace profile are the intended source):
-	// blocks go to the least-loaded shard in decreasing weight order.
-	// Empty or short assigns blocks round-robin. Either way the
-	// assignment — and therefore the result — is deterministic.
-	ShardWeights []int64
-
-	// BatchSize is the lockstep batch width B: how many independent
-	// instances of one compiled graph a single worker advances together
-	// (see RunBatch and DESIGN.md §12). Run itself ignores it — batching
-	// is explicit via RunBatch — but the field carries the knob through
-	// the config plumbing (api exec.batch → harness.SysConfig.Batch →
-	// here), so callers grouping work can read one canonical place.
-	// 0 or 1 means no batching.
-	BatchSize int
 }
 
 const (
@@ -201,33 +172,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// effectiveShards resolves the worker count a run will actually use: the
-// configured count, clamped to the block count (a shard without blocks has
-// no work) and to maxShards, and forced to 1 whenever a serial-only
-// feature is attached — the tracer's event order, the sanitizer's and
-// invariant checker's per-tag accounting, and stateful memory models are
-// all defined at sub-cycle granularity the phase protocol does not
-// reconstruct.
-func (c Config) effectiveShards(nBlocks int) int {
-	s := c.Shards
-	if s <= 1 {
-		return 1
-	}
-	if c.Tracer != nil || c.Sanitize || c.CheckInvariants || c.Memory != nil {
-		return 1
-	}
-	if s > nBlocks {
-		s = nBlocks
-	}
-	if s > maxShards {
-		s = maxShards
-	}
-	return s
-}
-
 // Describe summarizes the tag policy and pool sizing that shaped a run —
-// the provenance string reports surface as RunStats.Note. Shard count is
-// deliberately absent: sharding must not change any reported value.
+// the provenance string reports surface as RunStats.Note.
 func (c Config) Describe() string {
 	c = c.withDefaults()
 	switch c.Policy {

@@ -1,4 +1,4 @@
-// Batched lockstep execution at the harness level (DESIGN.md §12): the
+// Batched lockstep execution at the harness level (DESIGN.md §11): the
 // bridge between the engines' RunBatch entry points and the serving
 // coalescer. A batch groups several runs of ONE compiled graph — same
 // program, same args, same lowering — and advances them in lockstep on a
@@ -15,6 +15,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/dfg"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/ordered"
@@ -102,17 +103,49 @@ func RunBatch(items []BatchItem) ([]BatchOutcome, error) {
 // runGraphBatch drives the engine-level lockstep batchers for the two
 // graph families, then validates and converts each outcome.
 func runGraphBatch(family string, items []BatchItem) ([]BatchOutcome, error) {
-	out := make([]BatchOutcome, len(items))
 	graphs := GraphSource(compileSource{})
 	if items[0].Cfg.Compiler != nil {
 		graphs = items[0].Cfg.Compiler
 	}
-
-	type run struct {
-		im   *mem.Image
-		hier *cache.Hierarchy
+	ims := make([]*mem.Image, len(items))
+	hiers := make([]*cache.Hierarchy, len(items))
+	// prepare builds item i's image and memory hierarchy and stamps its
+	// tracer with the shared graph.
+	prepare := func(i int, g *dfg.Graph) (SysConfig, error) {
+		it := items[i]
+		cfg := it.Cfg.withDefaults()
+		ims[i] = it.App.NewImage()
+		if cfg.imageSink != nil {
+			*cfg.imageSink = ims[i]
+		}
+		if cfg.Tracer != nil {
+			cfg.Tracer.SetMeta(trace.MetaFromGraph(it.App.Name, it.System, g))
+		}
+		hier, err := newHierarchy(cfg, ims[i])
+		if err != nil {
+			return cfg, fmt.Errorf("harness: batch item %d: %w", i, err)
+		}
+		hiers[i] = hier
+		return cfg, nil
 	}
-	runs := make([]run, len(items))
+	out := make([]BatchOutcome, len(items))
+	// settle records item i's outcome: an engine error as is, otherwise
+	// the stats fill writes, validated against the workload's reference
+	// unless the run deadlocked or skips the check.
+	settle := func(i int, err error, fill func(*metrics.RunStats), result int64) {
+		it := items[i]
+		rs := metrics.RunStats{System: it.System, App: it.App.Name}
+		if err == nil {
+			fill(&rs)
+			attachCache(&rs, hiers[i])
+			if !rs.Deadlocked && !it.Cfg.SkipCheck {
+				if cerr := it.App.Check(ims[i], result); cerr != nil {
+					err = fmt.Errorf("harness: %s on %s produced wrong output: %w", it.App.Name, it.System, cerr)
+				}
+			}
+		}
+		out[i] = BatchOutcome{Stats: rs, Err: err}
+	}
 
 	switch family {
 	case "tagged":
@@ -122,44 +155,22 @@ func runGraphBatch(family string, items []BatchItem) ([]BatchOutcome, error) {
 		}
 		insts := make([]core.BatchInstance, len(items))
 		for i, it := range items {
-			cfg := it.Cfg.withDefaults()
-			ecfg := coreConfigFor(it.System, cfg)
-			im := it.App.NewImage()
-			if cfg.imageSink != nil {
-				*cfg.imageSink = im
-			}
-			if cfg.Tracer != nil {
-				cfg.Tracer.SetMeta(trace.MetaFromGraph(it.App.Name, it.System, g))
-			}
-			hier, err := newHierarchy(cfg, im)
+			cfg, err := prepare(i, g)
 			if err != nil {
-				return nil, fmt.Errorf("harness: batch item %d: %w", i, err)
+				return nil, err
 			}
-			if hier != nil {
-				ecfg.Memory = hier
+			ecfg := coreConfigFor(it.System, cfg)
+			if hiers[i] != nil {
+				ecfg.Memory = hiers[i]
 			}
-			runs[i] = run{im: im, hier: hier}
-			insts[i] = core.BatchInstance{Cfg: ecfg, Im: im}
+			insts[i] = core.BatchInstance{Cfg: ecfg, Im: ims[i]}
 		}
 		outs, err := core.RunBatch(g, insts)
 		if err != nil {
 			return nil, err
 		}
 		for i, o := range outs {
-			rs := metrics.RunStats{System: items[i].System, App: items[i].App.Name}
-			if o.Err != nil {
-				out[i] = BatchOutcome{Stats: rs, Err: o.Err}
-				continue
-			}
-			fillCoreStats(&rs, o.Res)
-			attachCache(&rs, runs[i].hier)
-			if !o.Res.Deadlocked && !items[i].Cfg.SkipCheck {
-				if err := items[i].App.Check(runs[i].im, o.Res.ResultValue); err != nil {
-					out[i] = BatchOutcome{Stats: rs, Err: fmt.Errorf("harness: %s on %s produced wrong output: %w", items[i].App.Name, items[i].System, err)}
-					continue
-				}
-			}
-			out[i] = BatchOutcome{Stats: rs}
+			settle(i, o.Err, func(rs *metrics.RunStats) { fillCoreStats(rs, o.Res) }, o.Res.ResultValue)
 		}
 
 	case "ordered":
@@ -168,45 +179,23 @@ func runGraphBatch(family string, items []BatchItem) ([]BatchOutcome, error) {
 			return nil, err
 		}
 		insts := make([]ordered.BatchInstance, len(items))
-		for i, it := range items {
-			cfg := it.Cfg.withDefaults()
-			ocfg := orderedConfigFor(cfg)
-			im := it.App.NewImage()
-			if cfg.imageSink != nil {
-				*cfg.imageSink = im
-			}
-			if cfg.Tracer != nil {
-				cfg.Tracer.SetMeta(trace.MetaFromGraph(it.App.Name, it.System, g))
-			}
-			hier, err := newHierarchy(cfg, im)
+		for i := range items {
+			cfg, err := prepare(i, g)
 			if err != nil {
-				return nil, fmt.Errorf("harness: batch item %d: %w", i, err)
+				return nil, err
 			}
-			if hier != nil {
-				ocfg.Memory = hier
+			ocfg := orderedConfigFor(cfg)
+			if hiers[i] != nil {
+				ocfg.Memory = hiers[i]
 			}
-			runs[i] = run{im: im, hier: hier}
-			insts[i] = ordered.BatchInstance{Cfg: ocfg, Im: im}
+			insts[i] = ordered.BatchInstance{Cfg: ocfg, Im: ims[i]}
 		}
 		outs, err := ordered.RunBatch(g, insts)
 		if err != nil {
 			return nil, err
 		}
 		for i, o := range outs {
-			rs := metrics.RunStats{System: items[i].System, App: items[i].App.Name}
-			if o.Err != nil {
-				out[i] = BatchOutcome{Stats: rs, Err: o.Err}
-				continue
-			}
-			fillOrderedStats(&rs, o.Res)
-			attachCache(&rs, runs[i].hier)
-			if !items[i].Cfg.SkipCheck {
-				if err := items[i].App.Check(runs[i].im, o.Res.ResultValue); err != nil {
-					out[i] = BatchOutcome{Stats: rs, Err: fmt.Errorf("harness: %s on %s produced wrong output: %w", items[i].App.Name, items[i].System, err)}
-					continue
-				}
-			}
-			out[i] = BatchOutcome{Stats: rs}
+			settle(i, o.Err, func(rs *metrics.RunStats) { fillOrderedStats(rs, o.Res) }, o.Res.ResultValue)
 		}
 	}
 	return out, nil

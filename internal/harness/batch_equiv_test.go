@@ -27,10 +27,14 @@ import (
 //	TYR_UPDATE_GOLDEN=1 go test ./internal/harness -run TestBatchGoldenRace
 const batchGoldenPath = "testdata/batch_golden.json"
 
-// batchStatsDigest reuses the shard digest: the same deterministic,
-// tracer-less field set plus the final memory image checksum.
+// batchStatsDigest flattens every deterministic field of a harness run
+// that does not require a tracer, plus the final memory image checksum.
 func batchStatsDigest(rs metrics.RunStats, im *mem.Image) string {
-	return shardStatsDigest(rs, im)
+	return fmt.Sprintf(
+		"completed=%v deadlocked=%v cycles=%d fired=%d peaklive=%d meanlive=%v peaktags=%d ipc=%s trace=%s note=%q cache=%s image=%016x",
+		rs.Completed, rs.Deadlocked, rs.Cycles, rs.Fired, rs.PeakLive, rs.MeanLive,
+		rs.PeakTags, histDigest(rs.IPCHist), traceDigest(rs.Trace), rs.Note,
+		cacheDigest(rs.Cache), im.Checksum())
 }
 
 // batchCombos is the batchable slice of the equivalence grid: both tagged
@@ -77,7 +81,6 @@ func TestBatchEquivalence(t *testing.T) {
 				ims := make([]*mem.Image, b)
 				for i := range items {
 					bcfg := combo.cfg
-					bcfg.Batch = b
 					bcfg.imageSink = &ims[i]
 					items[i] = BatchItem{App: app, System: combo.sys, Cfg: bcfg}
 				}
@@ -207,7 +210,6 @@ func batchGoldenGrid(t *testing.T) map[string]string {
 		ims := make([]*mem.Image, b)
 		for i := range items {
 			icfg := cfg
-			icfg.Batch = b
 			icfg.imageSink = &ims[i]
 			items[i] = BatchItem{App: app, System: sys, Cfg: icfg}
 		}

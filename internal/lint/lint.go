@@ -107,12 +107,13 @@ func DefaultPolicy() Policy {
 			"repro/internal/seqdf",
 			"repro/internal/vn",
 			"repro/internal/prog",
-			"repro/internal/shard", // mailboxes/barriers feed the engine's determinism contract
+			"repro/internal/lockstep", // the batch schedule feeds the engines' determinism contract
 		},
 		CycleLoopPkgs: []string{
 			"repro/internal/core",
 			"repro/internal/ordered",
 			"repro/internal/prog",
+			"repro/internal/lockstep",
 		},
 		DelegatingEngines: []string{
 			"repro/internal/vn",

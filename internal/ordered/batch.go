@@ -3,18 +3,19 @@ package ordered
 import (
 	"fmt"
 
+	"repro/internal/cancel"
 	"repro/internal/dfg"
+	"repro/internal/lockstep"
 	"repro/internal/mem"
 )
 
-// Batched lockstep execution for the ordered baseline, mirroring
-// core.RunBatch (DESIGN.md §12): one worker advances B independent
-// instances of the same compiled FIFO graph one cycle each per round.
-// All mutable state (queues, staged buffers, calendar queue, counters)
-// is per-instance; the batch shares only the read-only graph and its
+// Batched lockstep execution for the ordered baseline runs on the shared
+// internal/lockstep driver, as core.RunBatch does (DESIGN.md §11). All
+// mutable state (queues, staged buffers, calendar queue, counters) is
+// per-instance; the batch shares only the read-only graph and its
 // graphPlan (port index, producers-of lists, region mapping), so each
 // instance's Result is bit-identical to a serial run of that instance
-// alone. Instances retire independently via the active bitset.
+// alone.
 
 // BatchInstance is one instance of a lockstep batch: its own memory
 // image and configuration. Per-instance Memory models and Tracers must
@@ -26,13 +27,7 @@ type BatchInstance struct {
 
 // BatchOutcome is one instance's result, positionally matching the
 // instance slice passed to RunBatch.
-type BatchOutcome struct {
-	Res Result
-	Err error
-}
-
-// maxBatch bounds the lockstep width, as in core.
-const maxBatch = 1024
+type BatchOutcome = lockstep.Outcome[Result]
 
 // RunBatch executes every instance of a lockstep batch against one
 // compiled ordered graph. A top-level error means the batch itself was
@@ -41,14 +36,14 @@ func RunBatch(g *dfg.Graph, insts []BatchInstance) ([]BatchOutcome, error) {
 	if len(insts) == 0 {
 		return nil, fmt.Errorf("ordered: empty batch")
 	}
-	if len(insts) > maxBatch {
-		return nil, fmt.Errorf("ordered: batch of %d exceeds the %d-instance cap", len(insts), maxBatch)
+	if len(insts) > lockstep.MaxWidth {
+		return nil, fmt.Errorf("ordered: batch of %d exceeds the %d-instance cap", len(insts), lockstep.MaxWidth)
 	}
 	plan, err := planFor(g, insts[0].Im)
 	if err != nil {
 		return nil, err
 	}
-	ms := make([]*machine, len(insts))
+	ms := make([]lockstep.Machine[Result], len(insts))
 	for i := range insts {
 		cfg := insts[i].Cfg.withDefaults()
 		if err := validateConfig(cfg); err != nil {
@@ -57,76 +52,16 @@ func RunBatch(g *dfg.Graph, insts []BatchInstance) ([]BatchOutcome, error) {
 		if !plan.matches(g, insts[i].Im) {
 			return nil, fmt.Errorf("ordered: batch instance %d: memory image region layout differs from instance 0 (batches share one graph plan)", i)
 		}
-		ms[i] = newMachineFromPlan(g, insts[i].Im, cfg, plan)
+		ms[i] = lane{newMachineFromPlan(g, insts[i].Im, cfg, plan)}
 	}
-	b := &batchRunner{
-		ms:     ms,
-		out:    make([]BatchOutcome, len(ms)),
-		active: make([]uint64, (len(ms)+63)/64),
-	}
-	for i := range ms {
-		ms[i].start()
-		b.setActive(i)
-	}
-	b.run()
-	return b.out, nil
+	return lockstep.Run(ms), nil
 }
 
-// batchRunner drives B machines in lockstep; the active bitset tracks
-// instances still running.
-type batchRunner struct {
-	ms      []*machine
-	out     []BatchOutcome
-	active  []uint64
-	nActive int
-}
+// lane adapts a machine to the lockstep driver.
+type lane struct{ *machine }
 
-func (b *batchRunner) setActive(i int) {
-	b.active[i>>6] |= 1 << (i & 63)
-	b.nActive++
-}
-
-//tyr:hotpath
-func (b *batchRunner) isActive(i int) bool {
-	return b.active[i>>6]&(1<<(i&63)) != 0
-}
-
-// retire removes instance i from the lockstep rotation and records its
-// outcome.
-func (b *batchRunner) retire(i int, err error) {
-	b.active[i>>6] &^= 1 << (i & 63)
-	b.nActive--
-	if err != nil {
-		b.out[i] = BatchOutcome{Err: err}
-		return
-	}
-	res, ferr := b.ms[i].finish()
-	b.out[i] = BatchOutcome{Res: res, Err: ferr}
-}
-
-// run is the lockstep loop: every round advances each still-active
-// instance by one cycle, polling that instance's own cancel flag first.
-//
-//tyr:cycleloop
-func (b *batchRunner) run() {
-	for b.nActive > 0 {
-		for i := range b.ms {
-			if !b.isActive(i) {
-				continue
-			}
-			m := b.ms[i]
-			if m.cfg.Stop.Stopped() {
-				b.retire(i, m.stopErr())
-				continue
-			}
-			done, err := m.stepCycle()
-			if err != nil {
-				b.retire(i, err)
-				continue
-			}
-			if done {
-				b.retire(i, nil)
-			}
-		}
-	}
-}
+func (l lane) Start() error             { l.start(); return nil }
+func (l lane) Stop() *cancel.Flag       { return l.cfg.Stop }
+func (l lane) StopErr() error           { return l.stopErr() }
+func (l lane) StepCycle() (bool, error) { return l.stepCycle() }
+func (l lane) Finish() (Result, error)  { return l.finish() }

@@ -622,7 +622,7 @@ func (m *machine) stopErr() error {
 
 // stepCycle advances the machine by exactly one simulated cycle and
 // reports whether the machine has quiesced. Drivers (the serial run loop
-// and the lockstep batch runner) own cancel polling and termination;
+// and internal/lockstep) own cancel polling and termination;
 // keeping the step allocation-free keeps both drivers on the fast path.
 //
 //tyr:hotpath

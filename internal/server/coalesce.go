@@ -10,7 +10,7 @@ import (
 )
 
 // Coalescer groups queued /v1/run requests that share a compiled graph
-// into one lockstep batch job (DESIGN.md §12). The first request of a
+// into one lockstep batch job (DESIGN.md §11). The first request of a
 // graph opens a forming batch; requests arriving inside the formation
 // window join it; the batch dispatches as ONE pool job — occupying one
 // worker, like any other run — either when it fills to the batch width

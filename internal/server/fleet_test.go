@@ -123,9 +123,11 @@ func TestSweepAdoptsInboundTraceID(t *testing.T) {
 	if got := resp.Header.Get("Tyr-Trace-Id"); got != id {
 		t.Errorf("response trace ID %q, want adopted %q", got, id)
 	}
-	if rec := srv.Flight().Get(id); rec == nil {
-		t.Error("no flight record under the adopted trace ID")
-	}
+	// The record is published after the response body is flushed, so the
+	// client can see the reply a moment before the record lands.
+	waitFor(t, "a flight record under the adopted trace ID", func() bool {
+		return srv.Flight().Get(id) != nil
+	})
 
 	// A hostile header is rejected: the server mints its own ID instead.
 	hreq2, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweep", strings.NewReader(string(data)))

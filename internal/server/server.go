@@ -71,7 +71,7 @@ type Config struct {
 	PeerRetries int
 	// BatchSize is the lockstep batch width B: up to B queued /v1/run
 	// requests sharing one compiled graph coalesce into a single pool job
-	// that advances all instances together (DESIGN.md §12), and sweep
+	// that advances all instances together (DESIGN.md §11), and sweep
 	// cells sharing a graph co-batch the same way. 0 or 1 disables
 	// coalescing. Each request's exec.batch can lower (never raise) its
 	// own batch's width; exec.batch=1 opts a request out entirely.
@@ -272,9 +272,10 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, code int, er
 	var ve *api.ValidationError
 	if errors.As(err, &ve) {
 		body.Fields = ve.Fields
-		// Deprecation notes (e.g. top-level "shards" vs exec.shards) ride
-		// the structured error body so clients migrating the API surface
-		// see the guidance on the same 400 that rejected them.
+		// Deprecation notes (e.g. top-level "timeout_ms" vs
+		// exec.deadline_ms) ride the structured error body so clients
+		// migrating the API surface see the guidance on the same 400 that
+		// rejected them.
 		body.Notes = ve.Notes
 	}
 	writeJSON(w, code, body)

@@ -304,6 +304,90 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestExecContract pins the exec block through the handler: exec.shards
+// still decodes as 0 or 1 and changes nothing, a larger count is a
+// structured 400 on that field (never silently ignored), the removed
+// top-level "shards" is an unknown field, and exec.batch, exec.deadline_ms,
+// and the deprecated timeout_ms keep their meaning.
+func TestExecContract(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, BatchSize: 4})
+	const base = `"system":"tyr","app":"dmv","scale":"tiny"`
+	post := func(body string) (int, []byte) {
+		resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/run", json.RawMessage("{"+body+"}"))
+		return resp.StatusCode, out
+	}
+	code, out := post(base)
+	if code != http.StatusOK {
+		t.Fatalf("plain request: status %d: %s", code, out)
+	}
+	var plain api.RunResult
+	if err := json.Unmarshal(out, &plain); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name  string
+		extra string
+		code  int
+		field string // FieldError expected on a 400; "" for a decode error
+		note  string // fragment of a 400 note, "" for none required
+	}{
+		{"exec.shards=0", `"exec":{"shards":0}`, http.StatusOK, "", ""},
+		{"exec.shards=1", `"exec":{"shards":1}`, http.StatusOK, "", ""},
+		{"exec.shards=4", `"exec":{"shards":4}`, http.StatusBadRequest, "exec.shards", "removed"},
+		{"top-level shards", `"shards":4`, http.StatusBadRequest, "", ""},
+		{"exec.batch", `"exec":{"batch":4}`, http.StatusOK, "", ""},
+		{"exec.batch<0", `"exec":{"batch":-1}`, http.StatusBadRequest, "exec.batch", ""},
+		{"exec.deadline_ms", `"exec":{"deadline_ms":60000}`, http.StatusOK, "", ""},
+		{"timeout_ms", `"timeout_ms":60000`, http.StatusOK, "", ""},
+		{"timeout_ms conflict", `"timeout_ms":60000,"exec":{"deadline_ms":30000}`,
+			http.StatusBadRequest, "timeout_ms", "exec.deadline_ms"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			code, out := post(base + "," + tc.extra)
+			if code != tc.code {
+				t.Fatalf("status = %d, want %d; body: %s", code, tc.code, out)
+			}
+			if code == http.StatusOK {
+				var rr api.RunResult
+				if err := json.Unmarshal(out, &rr); err != nil {
+					t.Fatal(err)
+				}
+				if rr.Stats.Cycles != plain.Stats.Cycles || !rr.Checked {
+					t.Errorf("cycles = %d (checked=%v), want %d as without exec",
+						rr.Stats.Cycles, rr.Checked, plain.Stats.Cycles)
+				}
+				return
+			}
+			var eb api.ErrorBody
+			if err := json.Unmarshal(out, &eb); err != nil {
+				t.Fatalf("400 body is not structured: %v (%s)", err, out)
+			}
+			if tc.field == "" {
+				if len(eb.Fields) != 0 || !strings.Contains(eb.Error, "unknown field") {
+					t.Errorf("want an unknown-field decode error, got %+v", eb)
+				}
+				return
+			}
+			found := false
+			for _, f := range eb.Fields {
+				found = found || f.Field == tc.field
+			}
+			if !found {
+				t.Errorf("no FieldError on %s: %+v", tc.field, eb.Fields)
+			}
+			found = tc.note == ""
+			for _, n := range eb.Notes {
+				found = found || strings.Contains(n, tc.note)
+			}
+			if !found {
+				t.Errorf("no note mentions %q: %v", tc.note, eb.Notes)
+			}
+		})
+	}
+}
+
 // TestOverloadSheds asserts that with the single worker pinned and the queue
 // full, the next request is rejected with 429 instead of queueing unbounded.
 func TestOverloadSheds(t *testing.T) {
