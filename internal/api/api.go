@@ -14,6 +14,7 @@ package api
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -128,14 +129,14 @@ type Request struct {
 	// System is one of vN, seqdf, ordered, unordered, tyr.
 	System string `json:"system"`
 
-	IssueWidth  int            `json:"issue_width,omitempty"`
-	Tags        int            `json:"tags,omitempty"`
-	BlockTags   map[string]int `json:"block_tags,omitempty"`
-	GlobalTags  int            `json:"global_tags,omitempty"`
-	QueueCap    int            `json:"queue_cap,omitempty"`
-	LoadLatency int            `json:"load_latency,omitempty"`
+	IssueWidth  int            `json:"issue_width,omitempty"`  // 0..MaxKnob
+	Tags        int            `json:"tags,omitempty"`         // 0..MaxKnob
+	BlockTags   map[string]int `json:"block_tags,omitempty"`   // each value 0..MaxKnob
+	GlobalTags  int            `json:"global_tags,omitempty"`  // 0..MaxKnob
+	QueueCap    int            `json:"queue_cap,omitempty"`    // 0..MaxKnob
+	LoadLatency int            `json:"load_latency,omitempty"` // 0..MaxKnob
 	Cache       *CacheSpec     `json:"cache,omitempty"`
-	TracePoints int            `json:"trace_points,omitempty"`
+	TracePoints int            `json:"trace_points,omitempty"` // at most MaxKnob; negative disables the trace
 	SkipCheck   bool           `json:"skip_check,omitempty"`
 	Sanitize    bool           `json:"sanitize,omitempty"`
 	// MaxCycles overrides the engine's runaway budget.
@@ -210,15 +211,34 @@ func checkVersion(v string, errs *[]FieldError) {
 	}
 }
 
-func checkNonNegative(errs *[]FieldError, fields map[string]int64) {
-	names := make([]string, 0, len(fields))
-	for name := range fields {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if fields[name] < 0 {
-			*errs = append(*errs, FieldError{name, fmt.Sprintf("must be >= 0 (got %d)", fields[name])})
+// MaxKnob bounds every machine-size knob of a request. The engines
+// preallocate state in proportion to these knobs (a tag pool per loop
+// block, an issue-width histogram, trace and queue buffers), so an
+// unbounded value is an unbounded allocation that would take the whole
+// process down. The largest values the experiments use are issue width
+// 1024 and 4096 global tags.
+const MaxKnob = 1 << 16
+
+// knob is one integer request field and its accepted range.
+type knob struct {
+	name     string
+	v        int64
+	min, max int64
+}
+
+// nonNegative is a knob accepting any value >= 0.
+func nonNegative(name string, v int64) knob { return knob{name, v, 0, math.MaxInt64} }
+
+// sized is a machine-size knob: 0 (the default) up to MaxKnob.
+func sized(name string, v int) knob { return knob{name, int64(v), 0, MaxKnob} }
+
+func checkKnobs(errs *[]FieldError, knobs []knob) {
+	for _, k := range knobs {
+		switch {
+		case k.v < k.min:
+			*errs = append(*errs, FieldError{k.name, fmt.Sprintf("must be >= %d (got %d)", k.min, k.v)})
+		case k.v > k.max:
+			*errs = append(*errs, FieldError{k.name, fmt.Sprintf("must be <= %d (got %d)", k.max, k.v)})
 		}
 	}
 }
@@ -236,7 +256,15 @@ func KnownSystem(name string) bool {
 // Validate checks the request shape without running anything. The returned
 // error is a *ValidationError listing every bad field.
 func (r *Request) Validate() error {
+	_, err := r.validate()
+	return err
+}
+
+// validate is Validate that also returns the parsed inline source (nil for
+// a suite kernel), so Plan parses it only once.
+func (r *Request) validate() (*prog.Program, error) {
 	var errs []FieldError
+	var src *prog.Program
 	checkVersion(r.Version, &errs)
 	if !KnownSystem(r.System) {
 		errs = append(errs, FieldError{"system", fmt.Sprintf("unknown system %q (want %s)", r.System, strings.Join(harness.Systems, ", "))})
@@ -249,28 +277,39 @@ func (r *Request) Validate() error {
 	case r.App != "":
 		if _, err := ParseScale(r.Scale); err != nil {
 			errs = append(errs, FieldError{"scale", err.Error()})
-		} else if sc, _ := ParseScale(r.Scale); apps.Find(apps.Suite(sc), r.App) == nil {
+		}
+		if !apps.Known(r.App) {
 			errs = append(errs, FieldError{"app", fmt.Sprintf("unknown app %q", r.App)})
 		}
 	case r.Source != "":
-		if _, err := prog.Parse(r.Source); err != nil {
+		var err error
+		if src, err = prog.Parse(r.Source); err != nil {
 			errs = append(errs, FieldError{"source", err.Error()})
 		}
 	}
-	fields := map[string]int64{
-		"issue_width":  int64(r.IssueWidth),
-		"tags":         int64(r.Tags),
-		"global_tags":  int64(r.GlobalTags),
-		"queue_cap":    int64(r.QueueCap),
-		"load_latency": int64(r.LoadLatency),
-		"max_cycles":   r.MaxCycles,
-		"timeout_ms":   r.TimeoutMS,
+	knobs := []knob{
+		sized("issue_width", r.IssueWidth),
+		sized("tags", r.Tags),
+		sized("global_tags", r.GlobalTags),
+		sized("queue_cap", r.QueueCap),
+		sized("load_latency", r.LoadLatency),
+		{"trace_points", int64(r.TracePoints), math.MinInt64, MaxKnob},
+		nonNegative("max_cycles", r.MaxCycles),
+		nonNegative("timeout_ms", r.TimeoutMS),
+	}
+	blocks := make([]string, 0, len(r.BlockTags))
+	for b := range r.BlockTags {
+		blocks = append(blocks, b)
+	}
+	sort.Strings(blocks)
+	for _, b := range blocks {
+		knobs = append(knobs, sized("block_tags."+b, r.BlockTags[b]))
 	}
 	if r.Exec != nil {
-		fields["exec.batch"] = int64(r.Exec.Batch)
-		fields["exec.deadline_ms"] = r.Exec.DeadlineMS
+		knobs = append(knobs, nonNegative("exec.batch", int64(r.Exec.Batch)),
+			nonNegative("exec.deadline_ms", r.Exec.DeadlineMS))
 	}
-	checkNonNegative(&errs, fields)
+	checkKnobs(&errs, knobs)
 	var notes []string
 	if r.Exec != nil && r.Exec.Shards != 0 && r.Exec.Shards != 1 {
 		errs = append(errs, FieldError{"exec.shards", fmt.Sprintf("must be 0 or 1 (got %d)", r.Exec.Shards)})
@@ -287,9 +326,9 @@ func (r *Request) Validate() error {
 		errs = append(errs, FieldError{"cache", err.Error()})
 	}
 	if len(errs) > 0 {
-		return &ValidationError{Fields: errs, Notes: notes}
+		return nil, &ValidationError{Fields: errs, Notes: notes}
 	}
-	return nil
+	return src, nil
 }
 
 // Plan is the one validated execution plan every tool consumes (tyrd,
@@ -307,12 +346,14 @@ type Plan struct {
 	DeadlineMS int64
 
 	req *Request
+	src *prog.Program // parsed inline source; nil for a suite kernel
 }
 
 // Plan validates the request and converts it into the execution plan. The
 // returned error is the same *ValidationError Validate reports.
 func (r *Request) Plan() (*Plan, error) {
-	if err := r.Validate(); err != nil {
+	src, err := r.validate()
+	if err != nil {
 		return nil, err
 	}
 	cc, err := r.Cache.Config()
@@ -336,15 +377,17 @@ func (r *Request) Plan() (*Plan, error) {
 		Batch:      r.ExecBatch(),
 		DeadlineMS: r.ExecDeadlineMS(),
 		req:        r,
+		src:        src,
 	}, nil
 }
 
-// ResolveApp materializes the plan's workload: a suite kernel at the
-// requested scale, or the inline source wrapped via apps.FromProgram
-// (which runs the reference interpreter once to build the validation
-// oracle). The oracle run is unbounded; it is the CLI entry point, where
-// the user's own program runs on the user's own machine. Services must
-// use ResolveAppBound instead.
+// ResolveApp materializes the plan's workload: the process-wide suite
+// kernel template at the requested scale (apps.Kernel, built on first use
+// and shared by every caller), or the inline source, parsed once by Plan,
+// wrapped via apps.FromProgram (which runs the reference interpreter once
+// to build the validation oracle). The oracle run is unbounded; it is the
+// CLI entry point, where the user's own program runs on the user's own
+// machine. Services must use ResolveAppBound instead.
 func (p *Plan) ResolveApp() (*apps.App, error) {
 	return p.ResolveAppBound(nil, 0)
 }
@@ -358,11 +401,7 @@ func (p *Plan) ResolveApp() (*apps.App, error) {
 // entry point, never on a request goroutine through ResolveApp.
 func (p *Plan) ResolveAppBound(stop *cancel.Flag, maxSteps int64) (*apps.App, error) {
 	r := p.req
-	if r.Source != "" {
-		pr, err := prog.Parse(r.Source)
-		if err != nil {
-			return nil, err
-		}
+	if pr := p.src; pr != nil {
 		if r.Optimize {
 			pr = prog.Optimize(pr)
 		}
@@ -376,7 +415,7 @@ func (p *Plan) ResolveAppBound(stop *cancel.Flag, maxSteps int64) (*apps.App, er
 	if err != nil {
 		return nil, err
 	}
-	app := apps.Find(apps.Suite(sc), r.App)
+	app := apps.Kernel(sc, r.App)
 	if app == nil {
 		return nil, fmt.Errorf("unknown app %q", r.App)
 	}
@@ -393,8 +432,8 @@ type SweepRequest struct {
 	Apps    []string `json:"apps,omitempty"`
 	Systems []string `json:"systems,omitempty"`
 
-	IssueWidth int        `json:"issue_width,omitempty"`
-	Tags       int        `json:"tags,omitempty"`
+	IssueWidth int        `json:"issue_width,omitempty"` // 0..MaxKnob
+	Tags       int        `json:"tags,omitempty"`        // 0..MaxKnob
 	Cache      *CacheSpec `json:"cache,omitempty"`
 	// TimeoutMS bounds the whole sweep's wall clock.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -413,15 +452,12 @@ type SweepRequest struct {
 func (r *SweepRequest) Validate() error {
 	var errs []FieldError
 	checkVersion(r.Version, &errs)
-	sc, err := ParseScale(r.Scale)
-	if err != nil {
+	if _, err := ParseScale(r.Scale); err != nil {
 		errs = append(errs, FieldError{"scale", err.Error()})
-	} else {
-		suite := apps.Suite(sc)
-		for _, name := range r.Apps {
-			if apps.Find(suite, name) == nil {
-				errs = append(errs, FieldError{"apps", fmt.Sprintf("unknown app %q", name)})
-			}
+	}
+	for _, name := range r.Apps {
+		if !apps.Known(name) {
+			errs = append(errs, FieldError{"apps", fmt.Sprintf("unknown app %q", name)})
 		}
 	}
 	for _, sys := range r.Systems {
@@ -429,12 +465,12 @@ func (r *SweepRequest) Validate() error {
 			errs = append(errs, FieldError{"systems", fmt.Sprintf("unknown system %q", sys)})
 		}
 	}
-	checkNonNegative(&errs, map[string]int64{
-		"issue_width": int64(r.IssueWidth),
-		"tags":        int64(r.Tags),
-		"timeout_ms":  r.TimeoutMS,
-		"cell_start":  int64(r.CellStart),
-		"cell_count":  int64(r.CellCount),
+	checkKnobs(&errs, []knob{
+		sized("issue_width", r.IssueWidth),
+		sized("tags", r.Tags),
+		nonNegative("timeout_ms", r.TimeoutMS),
+		nonNegative("cell_start", int64(r.CellStart)),
+		nonNegative("cell_count", int64(r.CellCount)),
 	})
 	if _, err := r.Cache.Config(); err != nil {
 		errs = append(errs, FieldError{"cache", err.Error()})

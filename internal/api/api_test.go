@@ -3,10 +3,12 @@ package api
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/cancel"
 	"repro/internal/harness"
 )
@@ -310,6 +312,105 @@ func TestResolveAppBound(t *testing.T) {
 	}
 }
 
+// TestPlanBuildsNoKernel pins the resolve-once contract's first half:
+// planning a suite-kernel request checks the name against the table and
+// builds nothing (building the medium suite costs about 16k allocations).
+func TestPlanBuildsNoKernel(t *testing.T) {
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := (&Request{App: "tc", Scale: "medium", System: "tyr"}).Plan(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 40 {
+		t.Errorf("Plan allocates %.0f times, want a few dozen at most", allocs)
+	}
+}
+
+// TestResolveAppSharesKernel pins the second half: every resolution of a
+// suite kernel returns the one per-process template.
+func TestResolveAppSharesKernel(t *testing.T) {
+	var got [2]*apps.App
+	for i := range got {
+		plan, err := (&Request{App: "dmm", Scale: "tiny", System: "tyr"}).Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i], err = plan.ResolveAppBound(nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got[0] != got[1] || got[0] != apps.Kernel(apps.ScaleTiny, "dmm") {
+		t.Errorf("ResolveAppBound returned %p then %p, want the shared kernel", got[0], got[1])
+	}
+}
+
+// TestPlanKeepsParsedSource checks that the plan resolves the source it
+// validated: a Source edit after Plan does not reach the run.
+func TestPlanKeepsParsedSource(t *testing.T) {
+	r := Request{Source: testSource, System: "tyr"}
+	plan, err := r.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Source = "this is not IR"
+	app, err := plan.ResolveApp()
+	if err != nil {
+		t.Fatalf("resolve re-parsed the request's source: %v", err)
+	}
+	if app.Name != "sumloop" {
+		t.Errorf("resolved %q, want sumloop", app.Name)
+	}
+}
+
+// TestKnobBounds checks every bounded knob accepts MaxKnob and rejects
+// MaxKnob+1 with a "must be <=" error on that field.
+func TestKnobBounds(t *testing.T) {
+	over := MaxKnob + 1
+	want := fmt.Sprintf("must be <= %d (got %d)", MaxKnob, over)
+	set := map[string]func(r *Request, v int){
+		"issue_width":      func(r *Request, v int) { r.IssueWidth = v },
+		"tags":             func(r *Request, v int) { r.Tags = v },
+		"global_tags":      func(r *Request, v int) { r.GlobalTags = v },
+		"queue_cap":        func(r *Request, v int) { r.QueueCap = v },
+		"load_latency":     func(r *Request, v int) { r.LoadLatency = v },
+		"trace_points":     func(r *Request, v int) { r.TracePoints = v },
+		"block_tags.inner": func(r *Request, v int) { r.BlockTags = map[string]int{"outer": 2, "inner": v} },
+	}
+	for field, f := range set {
+		r := Request{App: "dmv", Scale: "tiny", System: "tyr"}
+		f(&r, MaxKnob)
+		if err := r.Validate(); err != nil {
+			t.Errorf("%s = MaxKnob rejected: %v", field, err)
+		}
+		f(&r, over)
+		wantOnly(t, r.Validate(), field, want)
+	}
+	neg := Request{App: "dmv", System: "tyr", TracePoints: -1, BlockTags: map[string]int{"outer": -1}}
+	wantOnly(t, neg.Validate(), "block_tags.outer", "must be >= 0 (got -1)")
+
+	for field, f := range map[string]func(r *SweepRequest){
+		"issue_width": func(r *SweepRequest) { r.IssueWidth = over },
+		"tags":        func(r *SweepRequest) { r.Tags = over },
+	} {
+		r := SweepRequest{Scale: "tiny"}
+		f(&r)
+		wantOnly(t, r.Validate(), field, want)
+	}
+}
+
+// wantOnly asserts err is a ValidationError with exactly one FieldError,
+// on field, whose message is msg.
+func wantOnly(t *testing.T, err error, field, msg string) {
+	t.Helper()
+	var ve *ValidationError
+	if !errors.As(err, &ve) {
+		t.Fatalf("%s: err = %v, want *ValidationError", field, err)
+	}
+	if len(ve.Fields) != 1 || ve.Fields[0].Field != field || ve.Fields[0].Message != msg {
+		t.Errorf("%s: got %v, want one %q error", field, ve.Fields, msg)
+	}
+}
+
 func TestValidationErrorMentionsEveryField(t *testing.T) {
 	err := (&SweepRequest{Systems: []string{"nope"}, Apps: []string{"nope"}, TimeoutMS: -1}).Validate()
 	if err == nil {
@@ -329,6 +430,9 @@ func FuzzRequestDecodeValidate(f *testing.F) {
 	f.Add(`{"system":"tyr","app":"dmv","exec":{"shards":2,"batch":4,"deadline_ms":100}}`)
 	f.Add(`{"system":"tyr","app":"dmv","shards":3,"exec":{"shards":2}}`)
 	f.Add(`{"system":[1,2],"app":5}`)
+	f.Add(`{"app":"dmv","scale":"tiny","system":"tyr","tags":2000000000}`)
+	f.Add(`{"app":"dmv","scale":"tiny","system":"tyr","issue_width":2000000000}`)
+	f.Add(`{"app":"dmv","scale":"tiny","system":"tyr","block_tags":{"outer":2000000000}}`)
 	f.Fuzz(func(t *testing.T, data string) {
 		var r Request
 		if err := json.Unmarshal([]byte(data), &r); err != nil {

@@ -17,6 +17,7 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/graphgen"
 	"repro/internal/mem"
@@ -70,29 +71,94 @@ func (s Scale) String() string {
 	return "?"
 }
 
+// Names lists the seven suite kernels in the paper's presentation order.
+// Every scale's constructor table below is indexed the same way.
+var Names = [...]string{"dmv", "dmm", "dconv", "smv", "spmspv", "spmspm", "tc"}
+
+// builders holds one table of kernel constructors per scale, indexed like
+// Names.
+var builders = [...][len(Names)]func() *App{
+	ScaleTiny: {
+		func() *App { return Dmv(16, 16, 1) },
+		func() *App { return Dmm(8, 2) },
+		func() *App { return Dconv(12, 12, 3, 3) },
+		func() *App { return Smv(32, 3, 4, 4) },
+		func() *App { return Spmspv(32, 96, 8, 5) },
+		func() *App { return Spmspm(12, 10, 6) },
+		func() *App { return Tc(24, 4, 0.2, 7) },
+	},
+	ScaleSmall: {
+		func() *App { return Dmv(64, 64, 1) },
+		func() *App { return Dmm(20, 2) },
+		func() *App { return Dconv(28, 28, 5, 3) },
+		func() *App { return Smv(160, 6, 6, 4) },
+		func() *App { return Spmspv(256, 1024, 24, 5) },
+		func() *App { return Spmspm(28, 6, 6) },
+		func() *App { return Tc(128, 6, 0.2, 7) },
+	},
+	ScaleMedium: {
+		func() *App { return Dmv(160, 160, 1) },
+		func() *App { return Dmm(40, 2) },
+		func() *App { return Dconv(64, 64, 7, 3) },
+		func() *App { return Smv(512, 8, 7, 4) },
+		func() *App { return Spmspv(768, 3000, 48, 5) },
+		func() *App { return Spmspm(56, 5, 6) },
+		func() *App { return Tc(384, 8, 0.2, 7) },
+	},
+}
+
+// row maps a scale to its constructor table; an unknown scale selects
+// small, the harness default.
+func (s Scale) row() int {
+	if s < 0 || int(s) >= len(builders) {
+		return int(ScaleSmall)
+	}
+	return int(s)
+}
+
 // Suite returns all seven workloads at the given scale, in the paper's
-// presentation order.
+// presentation order. Every call builds fresh apps; callers that only read
+// a kernel should use Kernel instead.
 func Suite(s Scale) []*App {
-	switch s {
-	case ScaleTiny:
-		return []*App{
-			Dmv(16, 16, 1), Dmm(8, 2), Dconv(12, 12, 3, 3),
-			Smv(32, 3, 4, 4), Spmspv(32, 96, 8, 5),
-			Spmspm(12, 10, 6), Tc(24, 4, 0.2, 7),
-		}
-	case ScaleMedium:
-		return []*App{
-			Dmv(160, 160, 1), Dmm(40, 2), Dconv(64, 64, 7, 3),
-			Smv(512, 8, 7, 4), Spmspv(768, 3000, 48, 5),
-			Spmspm(56, 5, 6), Tc(384, 8, 0.2, 7),
-		}
-	default: // ScaleSmall
-		return []*App{
-			Dmv(64, 64, 1), Dmm(20, 2), Dconv(28, 28, 5, 3),
-			Smv(160, 6, 6, 4), Spmspv(256, 1024, 24, 5),
-			Spmspm(28, 6, 6), Tc(128, 6, 0.2, 7),
+	suite := make([]*App, len(Names))
+	for i, build := range builders[s.row()] {
+		suite[i] = build()
+	}
+	return suite
+}
+
+// index returns name's position in Names, or -1.
+func index(name string) int {
+	for i, n := range Names {
+		if n == name {
+			return i
 		}
 	}
+	return -1
+}
+
+// Known reports whether name is a suite kernel. It builds nothing.
+func Known(name string) bool { return index(name) >= 0 }
+
+// shared holds the per-process kernel templates behind Kernel.
+var shared [len(builders)][len(Names)]struct {
+	once sync.Once
+	app  *App
+}
+
+// Kernel returns the named suite kernel at scale s, or nil for an unknown
+// name. The kernel is built at most once per process and the same *App is
+// returned to every caller, so it is an immutable template: runs take their
+// memory from NewImage, and nothing may write to the App, its program or
+// its image.
+func Kernel(s Scale, name string) *App {
+	i := index(name)
+	if i < 0 {
+		return nil
+	}
+	k := &shared[s.row()][i]
+	k.once.Do(func() { k.app = builders[s.row()][i]() })
+	return k.app
 }
 
 // Find returns the named app from a suite.

@@ -146,3 +146,33 @@ func TestCheckersRejectWrongOutput(t *testing.T) {
 		t.Error("corrupted output passed Check")
 	}
 }
+
+// TestKernelSharedTemplate pins the per-process kernel contract: Kernel
+// returns one shared *App per (scale, name), nil for an unknown name, and
+// the same kernel Suite builds fresh on every call.
+func TestKernelSharedTemplate(t *testing.T) {
+	for _, s := range []Scale{ScaleTiny, ScaleSmall} {
+		fresh := Suite(s)
+		for i, name := range Names {
+			if !Known(name) {
+				t.Errorf("Known(%q) = false", name)
+			}
+			k := Kernel(s, name)
+			if k == nil || k.Name != name || fresh[i].Name != name {
+				t.Fatalf("scale %v: Kernel(%q) = %v, Suite[%d] = %q", s, name, k, i, fresh[i].Name)
+			}
+			if Kernel(s, name) != k {
+				t.Errorf("scale %v: Kernel(%q) built twice", s, name)
+			}
+			if fresh[i] == k || Suite(s)[i] == fresh[i] {
+				t.Errorf("scale %v: Suite returned a shared %q, want a fresh build", s, name)
+			}
+			if !k.Image.Equal(fresh[i].Image) || k.Description != fresh[i].Description {
+				t.Errorf("scale %v: Kernel(%q) differs from the Suite build", s, name)
+			}
+		}
+	}
+	if Known("nope") || Kernel(ScaleTiny, "nope") != nil {
+		t.Error("unknown kernel name accepted")
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/dfg"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -82,6 +83,52 @@ func TestSharedGraphConcurrentRuns(t *testing.T) {
 					t.Errorf("%s: digest diverged on a shared graph (engine mutated compiled state?)\n  golden: %s\n  got:    %s", key, w, got)
 				}
 			})
+		}
+	}
+}
+
+// TestSharedKernelConcurrentRuns is the serving-side counterpart for
+// workloads: tyrd hands every request the same apps.Kernel template, so
+// this test runs all 35 tiny (kernel, system) cells concurrently from the
+// shared kernels and requires each to match a serial run on a freshly
+// built apps.Suite app, cycle for cycle and fire for fire. Afterwards
+// every shared App.Image must still hold its original words. Under -race
+// (CI), any write to a shared program or image is a reported race.
+func TestSharedKernelConcurrentRuns(t *testing.T) {
+	type cell struct{ app, sys string }
+	want := map[cell]metrics.RunStats{}
+	before := map[string]*mem.Image{}
+	for _, app := range apps.Suite(apps.ScaleTiny) {
+		before[app.Name] = apps.Kernel(apps.ScaleTiny, app.Name).Image.Clone()
+		for _, sys := range Systems {
+			rs, err := Run(app, sys, SysConfig{})
+			if err != nil {
+				t.Fatalf("fresh %s/%s: %v", app.Name, sys, err)
+			}
+			want[cell{app.Name, sys}] = rs
+		}
+	}
+
+	t.Run("cells", func(t *testing.T) {
+		for c := range want {
+			c := c
+			t.Run(c.app+"/"+c.sys, func(t *testing.T) {
+				t.Parallel()
+				rs, err := Run(apps.Kernel(apps.ScaleTiny, c.app), c.sys, SysConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w := want[c]; rs.Cycles != w.Cycles || rs.Fired != w.Fired {
+					t.Errorf("shared kernel: %d cycles, %d fires; fresh build: %d cycles, %d fires",
+						rs.Cycles, rs.Fired, w.Cycles, w.Fired)
+				}
+			})
+		}
+	})
+
+	for name, im := range before {
+		if !apps.Kernel(apps.ScaleTiny, name).Image.Equal(im) {
+			t.Errorf("%s: a run wrote to the shared kernel's image", name)
 		}
 	}
 }

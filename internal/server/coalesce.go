@@ -101,7 +101,8 @@ func (c *Coalescer) enqueue(t *obs.RequestTrace, req *api.Request, plan *api.Pla
 	if width <= 1 {
 		return nil, false
 	}
-	// Cheap for named kernels: a suite table lookup, no oracle run.
+	// Cheap for named kernels: a lookup of the shared template built once
+	// per process (apps.Kernel), no suite build and no oracle run.
 	app, err := plan.ResolveApp()
 	if err != nil {
 		return nil, false // the solo path reports the resolution error

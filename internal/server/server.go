@@ -249,11 +249,14 @@ func (s *Server) endStage(t *obs.RequestTrace, id obs.SpanID, stage string) {
 	}
 }
 
+// writeJSON emits v as compact JSON in one encoder pass. Clients that want
+// to read a response pipe it through `jq .`. HTML escaping is off, so a
+// field error reads "must be <= N" on the wire too.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	enc.SetEscapeHTML(false)
 	enc.Encode(v)
 }
 
@@ -542,22 +545,19 @@ type sweepCell struct {
 // order — cell index = appIdx*len(systems)+sysIdx, the coordinate system
 // the fleet coordinator partitions over (every instance derives the same
 // grid from the same request fields, so a cell index means the same cell
-// everywhere).
+// everywhere). Cells hold the process-wide kernel templates (apps.Kernel).
 func sweepGrid(req *api.SweepRequest, scale apps.Scale) (cells []sweepCell, systems []string) {
-	suite := apps.Suite(scale)
-	sel := suite
-	if len(req.Apps) > 0 {
-		sel = sel[:0:0]
-		for _, name := range req.Apps {
-			sel = append(sel, apps.Find(suite, name))
-		}
+	names := req.Apps
+	if len(names) == 0 {
+		names = apps.Names[:]
 	}
 	systems = req.Systems
 	if len(systems) == 0 {
 		systems = harness.Systems
 	}
-	cells = make([]sweepCell, 0, len(sel)*len(systems))
-	for _, app := range sel {
+	cells = make([]sweepCell, 0, len(names)*len(systems))
+	for _, name := range names {
+		app := apps.Kernel(scale, name)
 		for _, sys := range systems {
 			cells = append(cells, sweepCell{app: app, sys: sys})
 		}

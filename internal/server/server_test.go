@@ -304,6 +304,60 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedKnobsRejected sends knob values that would each make the
+// engine allocate gigabytes. Each gets a structured 400 naming the field,
+// and the server keeps serving the next plain request.
+func TestOversizedKnobsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	want := fmt.Sprintf("must be <= %d (got 2000000000)", api.MaxKnob)
+	for _, tc := range []struct{ field, body string }{
+		{"tags", `{"app":"dmv","scale":"tiny","system":"tyr","tags":2000000000}`},
+		{"issue_width", `{"app":"dmv","scale":"tiny","system":"tyr","issue_width":2000000000}`},
+		{"block_tags.outer", `{"app":"dmv","scale":"tiny","system":"tyr","block_tags":{"outer":2000000000}}`},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400; body: %s", resp.StatusCode, body)
+			}
+			var eb api.ErrorBody
+			if err := json.Unmarshal(body, &eb); err != nil {
+				t.Fatalf("400 body is not structured: %v (%s)", err, body)
+			}
+			if len(eb.Fields) != 1 || eb.Fields[0].Field != tc.field || eb.Fields[0].Message != want {
+				t.Errorf("fields = %+v, want one %q error on %s", eb.Fields, want, tc.field)
+			}
+
+			resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/run", api.Request{App: "dmv", Scale: "tiny", System: "tyr"})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("plain run after the rejected one: status = %d; body: %s", resp.StatusCode, body)
+			}
+		})
+	}
+}
+
+// TestRunResponseIsCompact pins the wire format: one JSON value on one
+// line, with no indentation.
+func TestRunResponseIsCompact(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/run", api.Request{App: "dmv", Scale: "tiny", System: "tyr"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d; body: %s", resp.StatusCode, body)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, body); err != nil {
+		t.Fatal(err)
+	}
+	if want := compact.String() + "\n"; string(body) != want {
+		t.Errorf("response is not compact JSON: %d bytes, compact form %d", len(body), len(want))
+	}
+}
+
 // TestExecContract pins the exec block through the handler: exec.shards
 // still decodes as 0 or 1 and changes nothing, a larger count is a
 // structured 400 on that field (never silently ignored), the removed
