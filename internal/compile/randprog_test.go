@@ -161,116 +161,132 @@ func TestRandomProgramDifferential(t *testing.T) {
 		seeds = 10
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			p := generate(seed)
-			if err := prog.Check(p); err != nil {
-				t.Fatalf("generated program fails Check (generator bug): %v", err)
-			}
-
-			// Concrete-syntax round trip: every generated program must
-			// survive Format -> Parse unchanged.
-			reparsed, err := prog.Parse(prog.Format(p))
-			if err != nil {
-				t.Fatalf("Parse(Format(p)): %v", err)
-			}
-			if prog.Format(reparsed) != prog.Format(p) {
-				t.Fatal("Format/Parse round trip changed the program")
-			}
-			p = reparsed // run everything below on the reparsed program
-
-			mkImage := func() *mem.Image {
-				im := prog.DefaultImage(p)
-				rng := rand.New(rand.NewSource(seed + 1000))
-				ro := make([]int64, roSize)
-				for i := range ro {
-					ro[i] = int64(rng.Intn(41) - 20)
-				}
-				im.SetRegion("ro", ro)
-				return im
-			}
-
-			ref := mkImage()
-			refRes, err := prog.Run(p, ref, prog.RunConfig{MaxSteps: 1 << 22})
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
-
-			tg, err := Tagged(p, Options{})
-			if err != nil {
-				t.Fatalf("Tagged: %v", err)
-			}
-			mustVet(t, tg, p)
-			for _, cfg := range []struct {
-				label string
-				c     core.Config
-			}{
-				{"tyr-2", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 2, CheckInvariants: true, Sanitize: true}},
-				{"tyr-64", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 64, CheckInvariants: true}},
-				{"tyr-2-w1", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 2, IssueWidth: 1, CheckInvariants: true}},
-				{"unordered", core.Config{Policy: core.PolicyGlobalUnlimited, CheckInvariants: true}},
-			} {
-				im := mkImage()
-				res, err := core.Run(tg, im, cfg.c)
-				if err != nil {
-					t.Fatalf("%s: %v", cfg.label, err)
-				}
-				if !res.Completed {
-					t.Fatalf("%s: %v", cfg.label, res.Deadlock)
-				}
-				if res.ResultValue != refRes.Ret {
-					t.Errorf("%s: result %d, want %d", cfg.label, res.ResultValue, refRes.Ret)
-				}
-				if !im.Equal(ref) {
-					t.Errorf("%s: memory diverged: %v", cfg.label, im.Diff(ref, 3))
-				}
-			}
-
-			og, err := Ordered(p, Options{})
-			if err != nil {
-				t.Fatalf("Ordered: %v", err)
-			}
-			mustVet(t, og, p)
-			im := mkImage()
-			ores, err := ordered.Run(og, im, ordered.Config{})
-			if err != nil {
-				t.Fatalf("ordered: %v", err)
-			}
-			if ores.ResultValue != refRes.Ret {
-				t.Errorf("ordered: result %d, want %d", ores.ResultValue, refRes.Ret)
-			}
-			if !im.Equal(ref) {
-				t.Errorf("ordered: memory diverged: %v", im.Diff(ref, 3))
-			}
-
-			// The optimizer must preserve semantics end to end: the
-			// optimized program, compiled and run on TYR, matches the
-			// unoptimized reference.
-			opt := prog.Optimize(p)
-			if err := prog.Check(opt); err != nil {
-				t.Fatalf("optimized program fails Check: %v", err)
-			}
-			otg, err := Tagged(opt, Options{})
-			if err != nil {
-				t.Fatalf("Tagged(optimized): %v", err)
-			}
-			mustVet(t, otg, opt)
-			imOpt := mkImage()
-			optRes, err := core.Run(otg, imOpt, core.Config{
-				Policy: core.PolicyTyr, TagsPerBlock: 2, CheckInvariants: true, Sanitize: true,
-			})
-			if err != nil {
-				t.Fatalf("tyr(optimized): %v", err)
-			}
-			if !optRes.Completed {
-				t.Fatalf("tyr(optimized): %v", optRes.Deadlock)
-			}
-			if optRes.ResultValue != refRes.Ret {
-				t.Errorf("tyr(optimized): result %d, want %d", optRes.ResultValue, refRes.Ret)
-			}
-			if !imOpt.Equal(ref) {
-				t.Errorf("tyr(optimized): memory diverged: %v", imOpt.Diff(ref, 3))
-			}
+			checkRandomProgram(t, seed)
 		})
+	}
+}
+
+// FuzzRandomProgramDifferential searches seeds beyond the test's fixed
+// 150 for a generated program on which some engine disagrees with the
+// reference interpreter.
+func FuzzRandomProgramDifferential(f *testing.F) {
+	for seed := int64(0); seed < 10; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(checkRandomProgram)
+}
+
+// checkRandomProgram generates the program for seed and requires every
+// engine, and the optimized program on TYR, to reproduce the reference
+// interpreter's result and final memory exactly.
+func checkRandomProgram(t *testing.T, seed int64) {
+	p := generate(seed)
+	if err := prog.Check(p); err != nil {
+		t.Fatalf("generated program fails Check (generator bug): %v", err)
+	}
+
+	// Concrete-syntax round trip: every generated program must
+	// survive Format -> Parse unchanged.
+	reparsed, err := prog.Parse(prog.Format(p))
+	if err != nil {
+		t.Fatalf("Parse(Format(p)): %v", err)
+	}
+	if prog.Format(reparsed) != prog.Format(p) {
+		t.Fatal("Format/Parse round trip changed the program")
+	}
+	p = reparsed // run everything below on the reparsed program
+
+	mkImage := func() *mem.Image {
+		im := prog.DefaultImage(p)
+		rng := rand.New(rand.NewSource(seed + 1000))
+		ro := make([]int64, roSize)
+		for i := range ro {
+			ro[i] = int64(rng.Intn(41) - 20)
+		}
+		im.SetRegion("ro", ro)
+		return im
+	}
+
+	ref := mkImage()
+	refRes, err := prog.Run(p, ref, prog.RunConfig{MaxSteps: 1 << 22})
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+
+	tg, err := Tagged(p, Options{})
+	if err != nil {
+		t.Fatalf("Tagged: %v", err)
+	}
+	mustVet(t, tg, p)
+	for _, cfg := range []struct {
+		label string
+		c     core.Config
+	}{
+		{"tyr-2", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 2, CheckInvariants: true, Sanitize: true}},
+		{"tyr-64", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 64, CheckInvariants: true}},
+		{"tyr-2-w1", core.Config{Policy: core.PolicyTyr, TagsPerBlock: 2, IssueWidth: 1, CheckInvariants: true}},
+		{"unordered", core.Config{Policy: core.PolicyGlobalUnlimited, CheckInvariants: true}},
+	} {
+		im := mkImage()
+		res, err := core.Run(tg, im, cfg.c)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.label, err)
+		}
+		if !res.Completed {
+			t.Fatalf("%s: %v", cfg.label, res.Deadlock)
+		}
+		if res.ResultValue != refRes.Ret {
+			t.Errorf("%s: result %d, want %d", cfg.label, res.ResultValue, refRes.Ret)
+		}
+		if !im.Equal(ref) {
+			t.Errorf("%s: memory diverged: %v", cfg.label, im.Diff(ref, 3))
+		}
+	}
+
+	og, err := Ordered(p, Options{})
+	if err != nil {
+		t.Fatalf("Ordered: %v", err)
+	}
+	mustVet(t, og, p)
+	im := mkImage()
+	ores, err := ordered.Run(og, im, ordered.Config{})
+	if err != nil {
+		t.Fatalf("ordered: %v", err)
+	}
+	if ores.ResultValue != refRes.Ret {
+		t.Errorf("ordered: result %d, want %d", ores.ResultValue, refRes.Ret)
+	}
+	if !im.Equal(ref) {
+		t.Errorf("ordered: memory diverged: %v", im.Diff(ref, 3))
+	}
+
+	// The optimizer must preserve semantics end to end: the
+	// optimized program, compiled and run on TYR, matches the
+	// unoptimized reference.
+	opt := prog.Optimize(p)
+	if err := prog.Check(opt); err != nil {
+		t.Fatalf("optimized program fails Check: %v", err)
+	}
+	otg, err := Tagged(opt, Options{})
+	if err != nil {
+		t.Fatalf("Tagged(optimized): %v", err)
+	}
+	mustVet(t, otg, opt)
+	imOpt := mkImage()
+	optRes, err := core.Run(otg, imOpt, core.Config{
+		Policy: core.PolicyTyr, TagsPerBlock: 2, CheckInvariants: true, Sanitize: true,
+	})
+	if err != nil {
+		t.Fatalf("tyr(optimized): %v", err)
+	}
+	if !optRes.Completed {
+		t.Fatalf("tyr(optimized): %v", optRes.Deadlock)
+	}
+	if optRes.ResultValue != refRes.Ret {
+		t.Errorf("tyr(optimized): result %d, want %d", optRes.ResultValue, refRes.Ret)
+	}
+	if !imOpt.Equal(ref) {
+		t.Errorf("tyr(optimized): memory diverged: %v", imOpt.Diff(ref, 3))
 	}
 }

@@ -15,6 +15,10 @@ import (
 //     scope, and writes never cross a loop boundary unless the variable is
 //     loop-carried on that loop (the merge-out of a loop's carried
 //     variables counts as a write at the loop's location),
+//   - a let never shadows a variable visible from an enclosing scope of
+//     the same function (a carried loop variable rebinds its outer
+//     namesake and stays legal), so every name has one binding in scope
+//     wherever it is used,
 //   - loop labels are unique so experiments can address blocks by name.
 //
 // Check must pass before Compile or Run; its error messages identify the
@@ -150,6 +154,9 @@ func (c *checker) checkStmt(s Stmt) {
 	switch st := s.(type) {
 	case Let:
 		c.checkExpr(st.E)
+		if !c.scopes[len(c.scopes)-1].names[st.Name] && c.canRead(st.Name) {
+			c.errorf("func %q: let %q shadows a variable of an enclosing scope", c.fn.Name, st.Name)
+		}
 		c.declare(c.fn, st.Name)
 	case Assign:
 		c.checkExpr(st.E)

@@ -173,3 +173,102 @@ func TestCallOrderTopological(t *testing.T) {
 		t.Errorf("order %v not topological", order)
 	}
 }
+
+// shadowLoopSource shadows an outer let inside a loop body. Before Check
+// rejected shadowing, the map-scoped interpreter leaked the inner x into
+// the next iteration (returning 11) while the compiled machines returned 3.
+const shadowLoopSource = `program "shadow" entry main
+
+func main() {
+  let x = 1
+  loop "L" carry (i = 0, acc = 0) while i < 3 {
+    let y = x
+    let x = 5
+    acc = acc + y
+    i = i + 1
+  }
+  return acc
+}
+`
+
+func TestCheckRejectsShadowing(t *testing.T) {
+	cases := []struct {
+		name, src, fn, v string
+	}{
+		{"loop body", shadowLoopSource, "main", "x"},
+		{"parameter", `program "shadowparam" entry main
+func f(x) {
+  loop "L" carry (i = 0, acc = 0) while i < 3 {
+    let y = x
+    let x = 5
+    acc = acc + y
+    i = i + 1
+  }
+  return acc
+}
+func main() {
+  return f(7)
+}
+`, "f", "x"},
+		{"nested loop", `program "shadownest" entry main
+func main() {
+  loop "outer" carry (i = 0, s = 0) while i < 2 {
+    let t = i
+    loop "inner" carry (j = 0) while j < 2 {
+      let t = j
+      j = j + 1
+    }
+    s = s + t
+    i = i + 1
+  }
+  return s
+}
+`, "main", "t"},
+		{"if branch", `program "shadowif" entry main
+func main() {
+  let x = 1
+  if x > 0 {
+    let x = 2
+  }
+  return x
+}
+`, "main", "x"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wantCheckError(t, MustParse(tc.src),
+				`func "`+tc.fn+`": let "`+tc.v+`" shadows a variable of an enclosing scope`)
+		})
+	}
+}
+
+// TestCheckAllowsRebindingAndSiblingScopes pins what the shadowing rule
+// leaves legal: a carried variable rebinding its outer namesake, and the
+// same name declared in scopes that are never visible from each other.
+func TestCheckAllowsRebindingAndSiblingScopes(t *testing.T) {
+	p := MustParse(`program "rebind" entry main
+func main() {
+  let x = 1
+  loop "L" carry (x = x) while x < 3 {
+    x = x + 1
+  }
+  if x > 0 {
+    let t = 1
+  } else {
+    let t = 2
+  }
+  let t = x
+  return t
+}
+`)
+	if err := Check(p); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(p, DefaultImage(p), RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ret != 3 {
+		t.Errorf("got %d, want 3", res.Ret)
+	}
+}

@@ -27,6 +27,7 @@ func FuzzParse(f *testing.F) {
 		f.Add(string(src))
 	}
 	f.Add("program p\nfunc main() { ret 0 }\n")
+	f.Add(shadowLoopSource) // parses and formats; only Check rejects it
 
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := Parse(src)

@@ -53,13 +53,14 @@ const (
 )
 
 // CostModel observes the dynamic execution of the reference interpreter.
-// Instr is called once per dynamic instruction with the ready times of its
-// operands and returns the ready time of the result; Boundary is called at
+// Instr is called once per dynamic instruction with the latest ready time
+// of its operands (including the controlling branch and the ordering
+// class) and returns the ready time of the result; Boundary is called at
 // concurrent-block boundaries with the number of live variable bindings.
 // Implementations provide the von Neumann and sequential-dataflow timing
 // models (internal/vn, internal/seqdf).
 type CostModel interface {
-	Instr(class InstrClass, deps ...int64) int64
+	Instr(class InstrClass, ready int64) int64
 	Boundary(kind BoundaryKind, live int)
 }
 
@@ -75,8 +76,8 @@ type MemModel interface {
 // nopModel is used when no cost model is attached.
 type nopModel struct{}
 
-func (nopModel) Instr(InstrClass, ...int64) int64 { return 0 }
-func (nopModel) Boundary(BoundaryKind, int)       {}
+func (nopModel) Instr(InstrClass, int64) int64 { return 0 }
+func (nopModel) Boundary(BoundaryKind, int)    {}
 
 // Stats aggregates dynamic execution counts.
 type Stats struct {
@@ -134,12 +135,18 @@ func Run(p *Program, im *mem.Image, cfg RunConfig) (Result, error) {
 		return Result{}, fmt.Errorf("prog: %s: entry %q takes %d args, got %d",
 			p.Name, p.Entry, len(entry.Params), len(cfg.Args))
 	}
+	c, err := lower(p, im)
+	if err != nil {
+		return Result{}, err
+	}
 	it := &interp{
-		p:        p,
-		im:       im,
-		cm:       cfg.Model,
-		maxSteps: cfg.MaxSteps,
-		stop:     cfg.Stop,
+		p:          p,
+		code:       c,
+		im:         im,
+		cm:         cfg.Model,
+		maxSteps:   cfg.MaxSteps,
+		stop:       cfg.Stop,
+		classReady: make([]int64, c.nclasses),
 	}
 	if it.cm == nil {
 		it.cm = nopModel{}
@@ -148,17 +155,13 @@ func Run(p *Program, im *mem.Image, cfg RunConfig) (Result, error) {
 	if it.maxSteps == 0 {
 		it.maxSteps = defaultMaxSteps
 	}
-	it.regions = make(map[string]int, im.NumRegions())
-	for i := 0; i < im.NumRegions(); i++ {
-		it.regions[im.Name(i)] = i
-	}
-	it.classReady = make(map[string]int64)
 
-	args := make([]binding, len(cfg.Args))
+	f := &c.funcs[c.entry]
+	base := it.reserve(f)
 	for i, v := range cfg.Args {
-		args[i] = binding{val: v}
+		it.stack[base+i] = binding{val: v}
 	}
-	ret, _, err := it.callFunc(entry, args, 0)
+	ret, _, err := it.call(f, base, 0)
 	if err != nil {
 		return Result{Stats: it.stats}, err
 	}
@@ -170,28 +173,28 @@ type binding struct {
 	ready int64
 }
 
-type envScope struct {
-	kind  scopeKind
-	names map[string]*binding
-}
-
 type interp struct {
 	p        *Program
+	code     *code
 	im       *mem.Image
 	cm       CostModel
 	mm       MemModel // non-nil when cm also implements MemModel
 	maxSteps int64
 	stop     *cancel.Flag
 	stats    Stats
-	regions  map[string]int
 
-	scopes   []envScope
+	// stack holds the frames of the active calls; fp is the current
+	// frame's base and top the first free slot. declared marks the slots
+	// whose binding is live.
+	stack    []binding
+	declared []bool
+	fp, top  int
 	liveVars int
 	depth    int
 
 	// classReady tracks the ready time of each memory ordering class's
 	// token (classes serialize all of their accesses).
-	classReady map[string]int64
+	classReady []int64
 
 	// ctrl is the ready time of the controlling branch decision; every
 	// instruction's result is at least this late (steer dependence).
@@ -234,266 +237,265 @@ func (it *interp) count(class InstrClass) error {
 	return nil
 }
 
-func (it *interp) pushScope(kind scopeKind) {
-	it.scopes = append(it.scopes, envScope{kind: kind, names: make(map[string]*binding)})
+// reserve claims a frame for f on top of the stack and returns its base.
+//
+//tyr:hotpath
+func (it *interp) reserve(f *function) int {
+	base := it.top
+	it.top += f.nslots
+	if it.top > len(it.stack) {
+		it.grow()
+	}
+	return base
 }
 
-func (it *interp) popScope() envScope {
-	top := it.scopes[len(it.scopes)-1]
-	it.scopes = it.scopes[:len(it.scopes)-1]
-	it.liveVars -= len(top.names)
-	return top
+// grow extends the frame stack to hold top slots. Frames are reused once
+// the deepest call chain has run, so this is not steady-state work.
+func (it *interp) grow() {
+	n := max(2*len(it.stack), it.top, 64)
+	it.stack = append(it.stack, make([]binding, n-len(it.stack))...)
+	it.declared = append(it.declared, make([]bool, n-len(it.declared))...)
 }
 
-func (it *interp) declare(name string, b binding) {
-	top := it.scopes[len(it.scopes)-1]
-	if _, exists := top.names[name]; !exists {
+// declare binds slot in the current frame. A slot counts as live once per
+// activation of its scope: a loop body's declarations are counted in the
+// first iteration and rebound in the later ones.
+//
+//tyr:hotpath
+func (it *interp) declare(slot int32, b binding) {
+	i := it.fp + int(slot)
+	if !it.declared[i] {
+		it.declared[i] = true
 		it.liveVars++
 		if it.liveVars+it.depth > it.stats.MaxLiveVars {
 			it.stats.MaxLiveVars = it.liveVars + it.depth
 		}
 	}
-	nb := b
-	top.names[name] = &nb
+	it.stack[i] = b
 }
 
-// lookup searches scopes of the current frame (stopping at the function
-// boundary).
-func (it *interp) lookup(name string) *binding {
-	for i := len(it.scopes) - 1; i >= 0; i-- {
-		if b, ok := it.scopes[i].names[name]; ok {
-			return b
-		}
-		if it.scopes[i].kind == scopeFunc {
-			break
+// popScope releases a scope's declared slots.
+//
+//tyr:hotpath
+func (it *interp) popScope(b *block) {
+	for _, s := range b.slots {
+		i := it.fp + int(s)
+		if it.declared[i] {
+			it.declared[i] = false
+			it.liveVars--
 		}
 	}
-	return nil
 }
 
-func (it *interp) callFunc(f *Func, args []binding, callReady int64) (int64, int64, error) {
+// call runs f in the frame at base, whose parameter slots hold the
+// argument values.
+func (it *interp) call(f *function, base int, callReady int64) (int64, int64, error) {
 	it.depth++
 	if it.depth > it.stats.MaxCallDepth {
 		it.stats.MaxCallDepth = it.depth
 	}
-	it.pushScope(scopeFunc)
-	for i, p := range f.Params {
-		b := args[i]
-		if b.ready < callReady {
-			b.ready = callReady
-		}
-		it.declare(p, b)
+	savedFP := it.fp
+	it.fp = base
+	for i := 0; i < f.nparams; i++ {
+		b := it.stack[base+i]
+		b.ready = max(b.ready, callReady)
+		it.declare(int32(i), b)
 	}
 	savedCtrl := it.ctrl
-	if callReady > it.ctrl {
-		it.ctrl = callReady
-	}
+	it.ctrl = max(it.ctrl, callReady)
 	it.cm.Boundary(BoundaryCallEnter, it.liveVars)
 
-	if err := it.stmts(f.Body); err != nil {
+	if err := it.stmts(f.body.steps); err != nil {
 		return 0, 0, err
 	}
-	var ret int64
-	var ready int64
-	if f.Ret != nil {
-		v, r, err := it.expr(f.Ret)
+	var ret, ready int64
+	if f.ret != nil {
+		v, r, err := it.expr(f.ret)
 		if err != nil {
 			return 0, 0, err
 		}
 		ret, ready = v, r
 	}
 	it.cm.Boundary(BoundaryCallExit, it.liveVars)
-	it.popScope()
+	it.popScope(&f.body)
 	it.depth--
 	it.ctrl = savedCtrl
+	it.fp, it.top = savedFP, base
 	return ret, ready, nil
 }
 
-func (it *interp) stmts(stmts []Stmt) error {
-	for _, s := range stmts {
-		if err := it.stmt(s); err != nil {
+func (it *interp) stmts(steps []step) error {
+	for i := range steps {
+		if err := it.stmt(&steps[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (it *interp) stmt(s Stmt) error {
-	switch st := s.(type) {
-	case Let:
-		v, r, err := it.expr(st.E)
+//tyr:hotpath
+func (it *interp) stmt(s *step) error {
+	switch s.op {
+	case opLet:
+		v, r, err := it.expr(s.e)
 		if err != nil {
 			return err
 		}
-		it.declare(st.Name, binding{val: v, ready: r})
+		it.declare(s.slot, binding{val: v, ready: r})
 		return nil
-	case Assign:
-		v, r, err := it.expr(st.E)
+	case opAssign:
+		v, r, err := it.expr(s.e)
 		if err != nil {
 			return err
 		}
-		b := it.lookup(st.Name)
-		if b == nil {
-			return it.runErr("assign to undeclared %q (checker should have caught this)", st.Name)
-		}
-		b.val, b.ready = v, r
+		it.stack[it.fp+int(s.slot)] = binding{val: v, ready: r}
 		return nil
-	case StoreStmt:
-		addr, ra, err := it.expr(st.Addr)
+	case opStore:
+		addr, ra, err := it.expr(s.addr)
 		if err != nil {
 			return err
 		}
-		val, rv, err := it.expr(st.Val)
+		val, rv, err := it.expr(s.e)
 		if err != nil {
 			return err
 		}
 		if err := it.count(ClassStore); err != nil {
 			return err
 		}
-		region, ok := it.regions[st.Mem]
-		if !ok {
-			return it.runErr("store to unknown region %q", st.Mem)
+		if s.region < 0 {
+			return it.runErr("store to unknown region %q", s.mem)
 		}
 		if it.mm != nil {
-			it.mm.Mem(mem.AccessStore, region, addr)
+			it.mm.Mem(mem.AccessStore, int(s.region), addr)
 		}
-		deps := []int64{ra, rv, it.ctrl}
-		if st.Class != "" {
-			deps = append(deps, it.classReady[st.Class])
+		ready := max(ra, rv, it.ctrl)
+		if s.class >= 0 {
+			ready = max(ready, it.classReady[s.class])
 		}
-		done := it.cm.Instr(ClassStore, deps...)
-		if st.Class != "" {
-			it.classReady[st.Class] = done
+		done := it.cm.Instr(ClassStore, ready)
+		if s.class >= 0 {
+			it.classReady[s.class] = done
 		}
-		return it.im.Store(region, addr, val)
-	case If:
-		return it.ifStmt(st)
-	case While:
-		return it.while(st)
-	case ExprStmt:
-		_, _, err := it.expr(st.E)
+		return it.im.Store(int(s.region), addr, val)
+	case opIf:
+		return it.ifStmt(s)
+	case opWhile:
+		return it.while(s.loop)
+	case opExpr:
+		_, _, err := it.expr(s.e)
 		return err
 	}
-	return it.runErr("unknown statement %T", s)
+	return it.runErr("unknown statement op %d", s.op)
 }
 
-func (it *interp) ifStmt(st If) error {
-	c, rc, err := it.expr(st.Cond)
+func (it *interp) ifStmt(s *step) error {
+	c, rc, err := it.expr(s.e)
 	if err != nil {
 		return err
 	}
 	if err := it.count(ClassBranch); err != nil {
 		return err
 	}
-	steered := it.cm.Instr(ClassBranch, rc, it.ctrl)
+	steered := it.cm.Instr(ClassBranch, max(rc, it.ctrl))
 	savedCtrl := it.ctrl
-	if steered > it.ctrl {
-		it.ctrl = steered
-	}
-	it.pushScope(scopeBlock)
+	it.ctrl = max(it.ctrl, steered)
+	b := s.els
 	if c != 0 {
-		err = it.stmts(st.Then)
-	} else {
-		err = it.stmts(st.Else)
+		b = s.then
 	}
-	it.popScope()
+	err = it.stmts(b.steps)
+	it.popScope(b)
 	it.ctrl = savedCtrl
 	return err
 }
 
-func (it *interp) while(st While) error {
-	inits := make([]binding, len(st.Vars))
-	for i, v := range st.Vars {
-		val, r, err := it.expr(v.Init)
+func (it *interp) while(l *loop) error {
+	// Initial values are evaluated in the enclosing scope, straight into
+	// the carried slots: no init can see them, since they are not yet
+	// declared.
+	for i, init := range l.inits {
+		v, r, err := it.expr(init)
 		if err != nil {
 			return err
 		}
-		inits[i] = binding{val: val, ready: r}
+		it.stack[it.fp+int(l.vars[i])] = binding{val: v, ready: r}
 	}
-	it.pushScope(scopeLoop)
-	for i, v := range st.Vars {
-		it.declare(v.Name, inits[i])
+	for _, s := range l.vars {
+		it.declare(s, it.stack[it.fp+int(s)])
 	}
 	it.cm.Boundary(BoundaryLoopEnter, it.liveVars)
 	savedCtrl := it.ctrl
 	for {
-		c, rc, err := it.expr(st.Cond)
+		c, rc, err := it.expr(l.cond)
 		if err != nil {
 			return err
 		}
 		if err := it.count(ClassBranch); err != nil {
 			return err
 		}
-		steered := it.cm.Instr(ClassBranch, rc, it.ctrl)
-		if steered > it.ctrl {
-			it.ctrl = steered
-		}
+		steered := it.cm.Instr(ClassBranch, max(rc, it.ctrl))
+		it.ctrl = max(it.ctrl, steered)
 		if c == 0 {
 			break
 		}
 		it.stats.LoopIters++
-		if err := it.stmts(st.Body); err != nil {
+		if err := it.stmts(l.body.steps); err != nil {
 			return err
 		}
 		it.cm.Boundary(BoundaryLoopIter, it.liveVars)
 	}
 	it.cm.Boundary(BoundaryLoopExit, it.liveVars)
-	finals := it.popScope()
+	it.popScope(&l.body)
 	it.ctrl = savedCtrl
-	// Merge-out: write carried vars to enclosing bindings, or declare
-	// fresh ones in the (new) current scope.
-	for _, v := range st.Vars {
-		fb := finals.names[v.Name]
-		if eb := it.lookup(v.Name); eb != nil {
-			*eb = *fb
+	// Merge-out, after the loop scope is popped: write each carried
+	// variable to its enclosing binding, or declare it fresh in the
+	// current scope.
+	for _, m := range l.merge {
+		b := it.stack[it.fp+int(m.from)]
+		if m.fresh {
+			it.declare(m.to, b)
 		} else {
-			it.declare(v.Name, *fb)
+			it.stack[it.fp+int(m.to)] = b
 		}
 	}
 	return nil
 }
 
-func (it *interp) expr(e Expr) (int64, int64, error) {
-	switch ex := e.(type) {
-	case Const:
-		return ex.V, it.ctrl, nil
-	case Var:
-		b := it.lookup(ex.Name)
-		if b == nil {
-			return 0, 0, it.runErr("read of undeclared %q (checker should have caught this)", ex.Name)
-		}
-		r := b.ready
-		if it.ctrl > r {
-			r = it.ctrl
-		}
-		return b.val, r, nil
-	case Bin:
-		a, ra, err := it.expr(ex.A)
+//tyr:hotpath
+func (it *interp) expr(n *node) (int64, int64, error) {
+	switch n.op {
+	case opConst:
+		return n.v, it.ctrl, nil
+	case opVar:
+		b := it.stack[it.fp+int(n.idx)]
+		return b.val, max(b.ready, it.ctrl), nil
+	case opBin:
+		a, ra, err := it.expr(n.a)
 		if err != nil {
 			return 0, 0, err
 		}
-		b, rb, err := it.expr(ex.B)
+		b, rb, err := it.expr(n.b)
 		if err != nil {
 			return 0, 0, err
 		}
 		if err := it.count(ClassALU); err != nil {
 			return 0, 0, err
 		}
-		v, err := dfg.EvalBin(ex.Op, a, b)
+		v, err := dfg.EvalBin(n.bin, a, b)
 		if err != nil {
 			return 0, 0, err
 		}
-		return v, it.cm.Instr(ClassALU, ra, rb, it.ctrl), nil
-	case Select:
-		c, rc, err := it.expr(ex.Cond)
+		return v, it.cm.Instr(ClassALU, max(ra, rb, it.ctrl)), nil
+	case opSelect:
+		c, rc, err := it.expr(n.c)
 		if err != nil {
 			return 0, 0, err
 		}
-		t, rt, err := it.expr(ex.Then)
+		t, rt, err := it.expr(n.a)
 		if err != nil {
 			return 0, 0, err
 		}
-		f, rf, err := it.expr(ex.Else)
+		f, rf, err := it.expr(n.b)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -504,61 +506,53 @@ func (it *interp) expr(e Expr) (int64, int64, error) {
 		if c != 0 {
 			v = t
 		}
-		return v, it.cm.Instr(ClassSelect, rc, rt, rf, it.ctrl), nil
-	case Load:
-		addr, ra, err := it.expr(ex.Addr)
+		return v, it.cm.Instr(ClassSelect, max(rc, rt, rf, it.ctrl)), nil
+	case opLoad:
+		addr, ra, err := it.expr(n.a)
 		if err != nil {
 			return 0, 0, err
 		}
 		if err := it.count(ClassLoad); err != nil {
 			return 0, 0, err
 		}
-		region, ok := it.regions[ex.Mem]
-		if !ok {
-			return 0, 0, it.runErr("load from unknown region %q", ex.Mem)
+		if n.idx < 0 {
+			return 0, 0, it.runErr("load from unknown region %q", n.mem)
 		}
 		if it.mm != nil {
-			it.mm.Mem(mem.AccessLoad, region, addr)
+			it.mm.Mem(mem.AccessLoad, int(n.idx), addr)
 		}
-		deps := []int64{ra, it.ctrl}
-		if ex.Class != "" {
-			deps = append(deps, it.classReady[ex.Class])
+		ready := max(ra, it.ctrl)
+		if n.class >= 0 {
+			ready = max(ready, it.classReady[n.class])
 		}
-		done := it.cm.Instr(ClassLoad, deps...)
-		if ex.Class != "" {
-			it.classReady[ex.Class] = done
+		done := it.cm.Instr(ClassLoad, ready)
+		if n.class >= 0 {
+			it.classReady[n.class] = done
 		}
-		v, err := it.im.Load(region, addr)
+		v, err := it.im.Load(int(n.idx), addr)
 		if err != nil {
 			return 0, 0, err
 		}
 		return v, done, nil
-	case Call:
-		callee := it.p.FindFunc(ex.Fn)
-		if callee == nil {
-			return 0, 0, it.runErr("call to unknown %q", ex.Fn)
-		}
-		args := make([]binding, len(ex.Args))
+	case opCall:
+		f := &it.code.funcs[n.idx]
+		// The callee's frame sits above every frame the argument
+		// expressions' own calls push and pop, so arguments are written
+		// straight into its parameter slots.
+		base := it.reserve(f)
 		ready := it.ctrl
-		for i, a := range ex.Args {
+		for i, a := range n.args {
 			v, r, err := it.expr(a)
 			if err != nil {
 				return 0, 0, err
 			}
-			args[i] = binding{val: v, ready: r}
-			if r > ready {
-				ready = r
-			}
+			it.stack[base+i] = binding{val: v, ready: r}
+			ready = max(ready, r)
 		}
 		if err := it.count(ClassCall); err != nil {
 			return 0, 0, err
 		}
-		callReady := it.cm.Instr(ClassCall, ready)
-		v, r, err := it.callFunc(callee, args, callReady)
-		if err != nil {
-			return 0, 0, err
-		}
-		return v, r, nil
+		return it.call(f, base, it.cm.Instr(ClassCall, ready))
 	}
-	return 0, 0, it.runErr("unknown expression %T", e)
+	return 0, 0, it.runErr("unknown expression op %d", n.op)
 }

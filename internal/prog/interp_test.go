@@ -281,3 +281,41 @@ func TestMinMax(t *testing.T) {
 		t.Errorf("got %d, want 8", res.Ret)
 	}
 }
+
+// TestLiveVarsAreLexical pins the live-binding count when a loop's result
+// merges out fresh inside an if-branch while the enclosing loop body
+// declares the same name later. The branch's binding is its own slot,
+// live until the branch ends, whatever a previous iteration left in the
+// loop body's scope. At the deepest point of the second outer iteration
+// seven bindings are live (i, s and the previous n in A; the branch's n;
+// k, w1 and w2 in D), plus one for the call depth.
+func TestLiveVarsAreLexical(t *testing.T) {
+	p := MustParse(`program "lexlive" entry main
+func main() {
+  loop "A" carry (i = 0, s = 0) while i < 3 {
+    if i >= 0 {
+      loop "C" carry (n = i) while n < 2 {
+        n = n + 1
+      }
+      s = s + n
+      loop "D" carry (k = 0) while k < 1 {
+        let w1 = k
+        let w2 = k
+        k = k + 1
+      }
+    }
+    let n = 7
+    s = s + n
+    i = i + 1
+  }
+  return s
+}
+`)
+	res, _ := runProg(t, p)
+	if res.Ret != 27 {
+		t.Errorf("got %d, want 27", res.Ret)
+	}
+	if res.Stats.MaxLiveVars != 8 {
+		t.Errorf("MaxLiveVars = %d, want 8", res.Stats.MaxLiveVars)
+	}
+}

@@ -28,7 +28,11 @@ import (
 //	         | "select" "(" e "," e "," e ")" | "min"/"max" "(" e "," e ")"
 //
 // "//" comments run to end of line. select, min, and max are reserved
-// builtins. The result is not checked; run Check before executing.
+// builtins. Scoping is lexical: each function, loop body and if-branch is
+// a scope, and a let may not shadow a variable visible from an enclosing
+// scope of the same function (a loop's carry rebinds its outer namesake
+// and is legal). The result is not checked; run Check before executing,
+// which enforces that rule.
 func Parse(src string) (*Program, error) {
 	toks, err := lex(src)
 	if err != nil {

@@ -124,18 +124,12 @@ type model struct {
 }
 
 //tyr:hotpath
-func (m *model) Instr(class prog.InstrClass, deps ...int64) int64 {
+func (m *model) Instr(class prog.InstrClass, ready int64) int64 {
 	if m.rec != nil {
 		m.rec.Record(trace.Event{Cycle: m.clock, Kind: trace.KindFire,
 			Node: trace.NoNode, Src: trace.NoNode, Val: int64(class)})
 	}
-	r := m.clock
-	for _, d := range deps {
-		if d > r {
-			r = d
-		}
-	}
-	r++
+	r := maxI64(m.clock, ready) + 1
 	if m.memory != nil {
 		// The block's window hides latency of independent accesses: the
 		// extra cycles extend this access's ready time, not the clock.

@@ -669,3 +669,60 @@ func TestHealthzAndMetrics(t *testing.T) {
 		}
 	}
 }
+
+// shadowSource shadows an outer let inside a loop body, which Check
+// rejects.
+const shadowSource = `program "shadow" entry main
+
+func main() {
+  let x = 1
+  loop "L" carry (i = 0, acc = 0) while i < 3 {
+    let y = x
+    let x = 5
+    acc = acc + y
+    i = i + 1
+  }
+  return acc
+}
+`
+
+// TestShadowingSourceRejected posts a source that shadows a variable. It
+// must get the same status and error shape as a source that reads an
+// undeclared variable, and the server keeps serving.
+func TestShadowingSourceRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	post := func(src string) (int, map[string]any) {
+		t.Helper()
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/run", api.Request{Source: src, System: "vN"})
+		var m map[string]any
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatalf("error body is not structured: %v (%s)", err, body)
+		}
+		return resp.StatusCode, m
+	}
+	undeclared := strings.Replace(testSource, "s = s + i", "s = s + ghost", 1)
+	wantCode, wantBody := post(undeclared)
+	if wantCode < 400 || wantCode >= 500 {
+		t.Fatalf("undeclared-variable source: status %d, want a 4xx: %v", wantCode, wantBody)
+	}
+	code, body := post(shadowSource)
+	if code != wantCode {
+		t.Errorf("shadowing source: status %d, want %d like an undeclared read: %v", code, wantCode, body)
+	}
+	if len(body) != len(wantBody) || body["version"] != wantBody["version"] {
+		t.Errorf("shadowing error body %v differs in shape from %v", body, wantBody)
+	}
+	for k := range wantBody {
+		if _, ok := body[k]; !ok {
+			t.Errorf("shadowing error body lacks %q: %v", k, body)
+		}
+	}
+	if msg, _ := body["error"].(string); !strings.Contains(msg, `let "x" shadows`) {
+		t.Errorf("error = %q, want it to name the shadowing let", msg)
+	}
+
+	resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/run", api.Request{App: "dmv", Scale: "tiny", System: "vN"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("plain run after the rejected source: status = %d; body: %s", resp.StatusCode, out)
+	}
+}

@@ -101,7 +101,7 @@ type model struct {
 }
 
 //tyr:hotpath
-func (m *model) Instr(class prog.InstrClass, _ ...int64) int64 {
+func (m *model) Instr(class prog.InstrClass, _ int64) int64 {
 	if m.rec != nil {
 		m.rec.Record(trace.Event{Cycle: m.instrs, Kind: trace.KindFire,
 			Node: trace.NoNode, Src: trace.NoNode, Val: int64(class)})

@@ -117,3 +117,61 @@ func TestVNCallDepthCounted(t *testing.T) {
 		t.Errorf("ret = %d", res.Ret)
 	}
 }
+
+// steadySource exercises every interpreter path the medium kernels use:
+// calls, classed loads and stores, a select, an if with a scoped let, a
+// nested loop whose carried variable merges out fresh, and lets in a loop
+// body that persist across iterations.
+const steadySource = `program "steady" entry main
+mem a[16]
+
+func step(x, y) {
+  let t = x * 3 + y
+  if t % 2 == 0 {
+    let u = t / 2
+    store@w a[t % 16] = u
+  } else {
+    store@w a[t % 16] = t
+  }
+  return select(t > 100, t - 100, t)
+}
+
+func main(n) {
+  loop "outer" carry (i = 0, acc = 0) while i < n {
+    let v = a[i % 16]@w
+    acc = acc + step(i, v)
+    loop "inner" carry (j = 0) while j < 2 {
+      j = j + 1
+    }
+    i = i + j - 1
+  }
+  return acc
+}
+`
+
+// TestInterpSteadyStateAllocFree pins that no dynamic instruction of the
+// interpreter allocates: a run's allocations (lowering, frame stack, the
+// result) do not depend on how many instructions it executes.
+func TestInterpSteadyStateAllocFree(t *testing.T) {
+	p := prog.MustParse(steadySource)
+	if err := prog.Check(p); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int64) float64 {
+		im := prog.DefaultImage(p)
+		cfg := Config{Args: []int64{n}, TracePoints: -1}
+		if _, err := Run(p, im, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(p, im, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(16), allocs(4096)
+	if short != long {
+		t.Fatalf("allocations grow with trip count: %v at 16 iterations, %v at 4096", short, long)
+	}
+	t.Logf("%v allocations per run at both trip counts", short)
+}
