@@ -8,6 +8,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/dfg"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -134,14 +135,7 @@ type machine struct {
 	// may shift other slots over it.
 	fireVals []int64
 
-	trace       []StatePoint
-	traceStride int64
-	// Window-max sampling state: the live-state maximum (and the cycle it
-	// occurred) inside the current stride window, so decimation never
-	// drops the trace's peak.
-	winMax      int64
-	winMaxCycle int64
-	winValid    bool
+	trace metrics.LiveTrace
 
 	// rec receives the event stream, nil unless Config.Tracer is set.
 	rec *trace.Recorder
@@ -290,9 +284,7 @@ func newMachineFromPlan(g *dfg.Graph, im *mem.Image, cfg Config, p *graphPlan) *
 	if cfg.Sanitize {
 		m.san = newSanitizer()
 	}
-	if cfg.TracePoints > 0 {
-		m.traceStride = 1
-	}
+	m.trace = metrics.NewLiveTrace(cfg.TracePoints)
 	m.rec = cfg.Tracer
 
 	for i := range g.Nodes {
@@ -342,10 +334,7 @@ func newMachineFromPlan(g *dfg.Graph, im *mem.Image, cfg Config, p *graphPlan) *
 		if !m.spacePooled[s] || cfg.Policy == PolicyKBound {
 			continue
 		}
-		tags := cfg.TagsPerBlock
-		if override, ok := cfg.BlockTags[g.Blocks[s].Name]; ok {
-			tags = override
-		}
+		tags := m.spaceTags(s)
 		pool := make([]uint64, tags)
 		for t := range pool {
 			// Reverse order so pops hand out tag 0 first.
@@ -354,6 +343,25 @@ func newMachineFromPlan(g *dfg.Graph, im *mem.Image, cfg Config, p *graphPlan) *
 		m.poolLocal[s] = pool
 	}
 	return m
+}
+
+// spaceTags is the tag budget that applies to space s: the global pool
+// under PolicyGlobalBounded, the local pool size (TagsPerBlock unless
+// BlockTags names the block) for pooled spaces — per invocation under
+// k-bounding — and 0 for unbounded spaces.
+//
+//tyr:hotpath
+func (m *machine) spaceTags(s int) int {
+	switch {
+	case m.cfg.Policy == PolicyGlobalBounded:
+		return m.cfg.GlobalTags
+	case m.spacePooled[s]:
+		if override, ok := m.cfg.BlockTags[m.g.Blocks[s].Name]; ok {
+			return override
+		}
+		return m.cfg.TagsPerBlock
+	}
+	return 0
 }
 
 // allocRoot takes the tag for the root context.
@@ -938,10 +946,7 @@ const (
 //tyr:hotpath
 func (m *machine) fireAllocateKBound(ref fireRef, n *dfg.Node, slot int32) (bool, error) {
 	ws := &m.stores[ref.node]
-	k := m.cfg.TagsPerBlock
-	if override, ok := m.cfg.BlockTags[m.g.Blocks[n.Space].Name]; ok {
-		k = override
-	}
+	k := m.spaceTags(int(n.Space))
 	var tag uint64
 	if n.External {
 		inv := m.kbNextInv
@@ -1040,7 +1045,7 @@ func (m *machine) stepCycle() (bool, error) {
 			m.cycle++
 			m.ipcHist[0]++
 			m.sumLive += m.live
-			m.samplePoint()
+			m.trace.SampleCycle(m.cycle, m.live)
 			return false, nil
 		}
 		return true, nil
@@ -1077,7 +1082,7 @@ func (m *machine) stepCycle() (bool, error) {
 	if m.live > m.peakLive {
 		m.peakLive = m.live
 	}
-	m.samplePoint()
+	m.trace.SampleCycle(m.cycle, m.live)
 	return false, nil
 }
 
@@ -1104,88 +1109,17 @@ func (m *machine) run() (Result, error) {
 	return m.finish()
 }
 
-// samplePoint maintains the live-state trace with max-preserving
-// decimation: every cycle updates the current stride window's maximum, the
-// window's max point is recorded at stride boundaries, and when the point
-// cap is reached adjacent points merge keeping the larger — so the trace's
-// peak always equals the true PeakLive and cycles stay strictly increasing.
-//
-//tyr:hotpath
-func (m *machine) samplePoint() {
-	if m.cfg.TracePoints <= 0 {
-		return
-	}
-	if !m.winValid || m.live > m.winMax {
-		m.winMax, m.winMaxCycle = m.live, m.cycle
-		m.winValid = true
-	}
-	if m.cycle%m.traceStride != 0 {
-		return
-	}
-	m.trace = append(m.trace, StatePoint{Cycle: m.winMaxCycle, Live: m.winMax})
-	m.winValid = false
-	if len(m.trace) >= m.cfg.TracePoints {
-		m.trace = decimatePoints(m.trace)
-		m.traceStride *= 2
-	}
-}
-
-// decimatePoints halves a trace by merging adjacent pairs, keeping each
-// pair's higher-live point. The final point is never merged away, so the
-// end of the run survives any number of decimations.
-func decimatePoints(pts []StatePoint) []StatePoint {
-	if len(pts) < 3 {
-		return pts
-	}
-	last := pts[len(pts)-1]
-	body := pts[:len(pts)-1]
-	kept := pts[:0]
-	for i := 0; i < len(body); i += 2 {
-		p := body[i]
-		if i+1 < len(body) && body[i+1].Live > p.Live {
-			p = body[i+1]
-		}
-		kept = append(kept, p)
-	}
-	return append(kept, last)
-}
-
-// flushTrace closes the trace at end of run: the pending window's max and
-// the final state point are appended, then the cap is re-imposed.
-func (m *machine) flushTrace() {
-	if m.cfg.TracePoints <= 0 {
-		return
-	}
-	if m.winValid {
-		m.trace = append(m.trace, StatePoint{Cycle: m.winMaxCycle, Live: m.winMax})
-		m.winValid = false
-	}
-	if n := len(m.trace); n == 0 || m.trace[n-1].Cycle < m.cycle {
-		m.trace = append(m.trace, StatePoint{Cycle: m.cycle, Live: m.live})
-	}
-	for len(m.trace) > m.cfg.TracePoints && len(m.trace) >= 3 {
-		m.trace = decimatePoints(m.trace)
-		m.traceStride *= 2
-	}
-}
-
 func (m *machine) finish() (Result, error) {
-	m.flushTrace()
-	ipc := make(map[int]int64)
-	for k, v := range m.ipcHist {
-		if v != 0 {
-			ipc[k] = v
-		}
-	}
+	m.trace.Close(m.cycle, m.live)
 	res := Result{
 		Completed:               m.done,
 		Cycles:                  m.cycle,
 		Fired:                   m.fired,
 		ResultValue:             m.resultVal,
 		PeakLive:                m.peakLive,
-		IPCHist:                 ipc,
-		Trace:                   m.trace,
-		TraceStride:             m.traceStride,
+		IPCHist:                 metrics.SparseHist(m.ipcHist),
+		Trace:                   m.trace.Points(),
+		TraceStride:             m.trace.Stride(),
 		PeakTags:                m.peakTags,
 		KBoundPeakPerInvocation: m.kbPeakPerInv,
 		FrameTokens:             m.frameTokens,
@@ -1204,22 +1138,9 @@ func (m *machine) finish() (Result, error) {
 		if m.allocCount[s] == 0 && s != 0 {
 			continue
 		}
-		// Tags reports the bound that applied to this space: the local
-		// pool size for pooled spaces (per invocation under k-bounding),
-		// the global pool for bounded-global, 0 for unbounded spaces.
-		tags := 0
-		switch {
-		case m.cfg.Policy == PolicyGlobalBounded:
-			tags = m.cfg.GlobalTags
-		case m.spacePooled[s]:
-			tags = m.cfg.TagsPerBlock
-			if override, ok := m.cfg.BlockTags[m.g.Blocks[s].Name]; ok {
-				tags = override
-			}
-		}
 		res.Spaces = append(res.Spaces, SpaceStats{
 			Block:          m.g.Blocks[s].Name,
-			Tags:           tags,
+			Tags:           m.spaceTags(s),
 			PeakInUse:      m.peakInUse[s],
 			Allocs:         m.allocCount[s],
 			PeakLiveTokens: m.peakByBlock[s],
@@ -1269,20 +1190,10 @@ func (m *machine) finish() (Result, error) {
 			continue
 		}
 		blk := &m.g.Blocks[s]
-		tags := 0
-		switch {
-		case m.cfg.Policy == PolicyGlobalBounded:
-			tags = m.cfg.GlobalTags
-		case m.spacePooled[s]:
-			tags = m.cfg.TagsPerBlock
-			if override, hit := m.cfg.BlockTags[blk.Name]; hit {
-				tags = override
-			}
-		}
 		info.Spaces = append(info.Spaces, StarvedSpace{
 			Block:   blk.Name,
 			Kind:    blk.Kind.String(),
-			Tags:    tags,
+			Tags:    m.spaceTags(s),
 			InUse:   m.inUse[s],
 			Starved: count,
 		})

@@ -7,6 +7,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/dfg"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/prog"
 )
 
@@ -233,8 +234,8 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestIPCCDF(t *testing.T) {
-	r := Result{IPCHist: map[int]int64{1: 2, 4: 6, 8: 2}}
-	ipcs, cum := r.IPCCDF()
+	res := Result{IPCHist: map[int]int64{1: 2, 4: 6, 8: 2}}
+	ipcs, cum := metrics.CDF(res.IPCHist)
 	if len(ipcs) != 3 || ipcs[0] != 1 || ipcs[2] != 8 {
 		t.Fatalf("ipcs = %v", ipcs)
 	}

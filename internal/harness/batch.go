@@ -13,13 +13,10 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dfg"
-	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/ordered"
-	"repro/internal/trace"
 )
 
 // BatchItem is one member of a lockstep batch: a workload, the system to
@@ -107,95 +104,53 @@ func runGraphBatch(family string, items []BatchItem) ([]BatchOutcome, error) {
 	if items[0].Cfg.Compiler != nil {
 		graphs = items[0].Cfg.Compiler
 	}
-	ims := make([]*mem.Image, len(items))
-	hiers := make([]*cache.Hierarchy, len(items))
-	// prepare builds item i's image and memory hierarchy and stamps its
-	// tracer with the shared graph.
-	prepare := func(i int, g *dfg.Graph) (SysConfig, error) {
-		it := items[i]
-		cfg := it.Cfg.withDefaults()
-		ims[i] = it.App.NewImage()
-		if cfg.imageSink != nil {
-			*cfg.imageSink = ims[i]
-		}
-		if cfg.Tracer != nil {
-			cfg.Tracer.SetMeta(trace.MetaFromGraph(it.App.Name, it.System, g))
-		}
-		hier, err := newHierarchy(cfg, ims[i])
-		if err != nil {
-			return cfg, fmt.Errorf("harness: batch item %d: %w", i, err)
-		}
-		hiers[i] = hier
-		return cfg, nil
+	var g *dfg.Graph
+	var err error
+	if family == "tagged" {
+		g, err = graphs.Tagged(items[0].App)
+	} else {
+		g, err = graphs.Ordered(items[0].App)
 	}
-	out := make([]BatchOutcome, len(items))
-	// settle records item i's outcome: an engine error as is, otherwise
-	// the stats fill writes, validated against the workload's reference
-	// unless the run deadlocked or skips the check.
-	settle := func(i int, err error, fill func(*metrics.RunStats), result int64) {
-		it := items[i]
-		rs := metrics.RunStats{System: it.System, App: it.App.Name}
-		if err == nil {
-			fill(&rs)
-			attachCache(&rs, hiers[i])
-			if !rs.Deadlocked && !it.Cfg.SkipCheck {
-				if cerr := it.App.Check(ims[i], result); cerr != nil {
-					err = fmt.Errorf("harness: %s on %s produced wrong output: %w", it.App.Name, it.System, cerr)
-				}
-			}
+	if err != nil {
+		return nil, err
+	}
+	envs := make([]runEnv, len(items))
+	for i, it := range items {
+		if envs[i], err = prepare(it, g); err != nil {
+			return nil, fmt.Errorf("harness: batch item %d: %w", i, err)
 		}
-		out[i] = BatchOutcome{Stats: rs, Err: err}
 	}
 
+	out := make([]BatchOutcome, len(items))
 	switch family {
 	case "tagged":
-		g, err := graphs.Tagged(items[0].App)
-		if err != nil {
-			return nil, err
-		}
 		insts := make([]core.BatchInstance, len(items))
 		for i, it := range items {
-			cfg, err := prepare(i, g)
-			if err != nil {
-				return nil, err
-			}
-			ecfg := coreConfigFor(it.System, cfg)
-			if hiers[i] != nil {
-				ecfg.Memory = hiers[i]
-			}
-			insts[i] = core.BatchInstance{Cfg: ecfg, Im: ims[i]}
+			ecfg := coreConfigFor(it.System, it.Cfg.withDefaults())
+			ecfg.Memory = envs[i].memory()
+			insts[i] = core.BatchInstance{Cfg: ecfg, Im: envs[i].im}
 		}
 		outs, err := core.RunBatch(g, insts)
 		if err != nil {
 			return nil, err
 		}
 		for i, o := range outs {
-			settle(i, o.Err, func(rs *metrics.RunStats) { fillCoreStats(rs, o.Res) }, o.Res.ResultValue)
+			out[i].Stats, out[i].Err = settle(items[i], envs[i], coreStats(o.Res), o.Res.ResultValue, o.Err)
 		}
 
 	case "ordered":
-		g, err := graphs.Ordered(items[0].App)
-		if err != nil {
-			return nil, err
-		}
 		insts := make([]ordered.BatchInstance, len(items))
-		for i := range items {
-			cfg, err := prepare(i, g)
-			if err != nil {
-				return nil, err
-			}
-			ocfg := orderedConfigFor(cfg)
-			if hiers[i] != nil {
-				ocfg.Memory = hiers[i]
-			}
-			insts[i] = ordered.BatchInstance{Cfg: ocfg, Im: ims[i]}
+		for i, it := range items {
+			ocfg := orderedConfigFor(it.Cfg.withDefaults())
+			ocfg.Memory = envs[i].memory()
+			insts[i] = ordered.BatchInstance{Cfg: ocfg, Im: envs[i].im}
 		}
 		outs, err := ordered.RunBatch(g, insts)
 		if err != nil {
 			return nil, err
 		}
 		for i, o := range outs {
-			settle(i, o.Err, func(rs *metrics.RunStats) { fillOrderedStats(rs, o.Res) }, o.Res.ResultValue)
+			out[i].Stats, out[i].Err = settle(items[i], envs[i], orderedStats(o.Res), o.Res.ResultValue, o.Err)
 		}
 	}
 	return out, nil

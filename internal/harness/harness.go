@@ -164,8 +164,64 @@ func attachCache(rs *metrics.RunStats, h *cache.Hierarchy) {
 	rs.Cache = &cs
 }
 
+// runEnv is one run's prepared environment: its fresh memory image and,
+// when a cache is configured, the hierarchy in front of it.
+type runEnv struct {
+	im   *mem.Image
+	hier *cache.Hierarchy
+}
+
+// memory is the access model the engine routes loads and stores through:
+// nil (ideal flat memory) unless a hierarchy was built.
+func (e runEnv) memory() mem.AccessModel {
+	if e.hier == nil {
+		return nil
+	}
+	return e.hier
+}
+
+// prepare builds one run's image and memory hierarchy, hands the image to
+// the test sink, and stamps the tracer with the run's metadata (the graph's
+// blocks and nodes when there is a graph; g is nil for vN and seqdf).
+func prepare(it BatchItem, g *dfg.Graph) (runEnv, error) {
+	env := runEnv{im: it.App.NewImage()}
+	if it.Cfg.imageSink != nil {
+		*it.Cfg.imageSink = env.im
+	}
+	if it.Cfg.Tracer != nil {
+		meta := trace.Meta{Program: it.App.Name, System: it.System}
+		if g != nil {
+			meta = trace.MetaFromGraph(it.App.Name, it.System, g)
+		}
+		it.Cfg.Tracer.SetMeta(meta)
+	}
+	var err error
+	env.hier, err = newHierarchy(it.Cfg, env.im)
+	return env, err
+}
+
+// settle turns an engine outcome into the run's record. An engine error
+// leaves the record empty. Otherwise rs (the engine's stats) gains the
+// cache counters and the output is validated against the workload's
+// reference unless the run deadlocked or skips the check; a failed check
+// returns the filled record together with the error.
+func settle(it BatchItem, env runEnv, rs metrics.RunStats, result int64, err error) (metrics.RunStats, error) {
+	if err != nil {
+		return metrics.RunStats{System: it.System, App: it.App.Name}, err
+	}
+	rs.System, rs.App = it.System, it.App.Name
+	attachCache(&rs, env.hier)
+	if !rs.Deadlocked && !it.Cfg.SkipCheck {
+		if cerr := it.App.Check(env.im, result); cerr != nil {
+			return rs, fmt.Errorf("harness: %s on %s produced wrong output: %w", it.App.Name, it.System, cerr)
+		}
+	}
+	return rs, nil
+}
+
 func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, error) {
 	cfg = cfg.withDefaults()
+	it := BatchItem{App: app, System: system, Cfg: cfg}
 	rs := metrics.RunStats{System: system, App: app.Name}
 	graphs := GraphSource(compileSource{})
 	if cfg.Compiler != nil {
@@ -174,145 +230,64 @@ func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, e
 
 	switch system {
 	case SysVN:
-		im := app.NewImage()
-		if cfg.imageSink != nil {
-			*cfg.imageSink = im
-		}
-		if cfg.Tracer != nil {
-			cfg.Tracer.SetMeta(trace.Meta{Program: app.Name, System: system})
-		}
-		hier, err := newHierarchy(cfg, im)
+		env, err := prepare(it, nil)
 		if err != nil {
 			return rs, err
 		}
-		vcfg := vn.Config{Args: app.Args, MaxSteps: cfg.MaxCycles, LoadLatency: cfg.LoadLatency, TracePoints: cfg.TracePoints, Tracer: cfg.Tracer, Stop: cfg.Stop}
-		if hier != nil {
-			vcfg.Memory = hier
-		}
-		res, err := vn.Run(app.Prog, im, vcfg)
-		if err != nil {
-			return rs, err
-		}
-		if !cfg.SkipCheck {
-			if err := app.Check(im, res.Ret); err != nil {
-				return rs, fmt.Errorf("harness: %s on %s produced wrong output: %w", app.Name, system, err)
-			}
-		}
-		rs.Completed = true
-		rs.Cycles, rs.Fired = res.Cycles, res.Fired
-		rs.PeakLive, rs.MeanLive = res.PeakLive, res.MeanLive
-		rs.IPCHist = res.IPCHist
-		rs.Trace = convertTrace(res.Trace)
-		rs.Note = res.Note
-		attachCache(&rs, hier)
-		return rs, nil
+		res, err := vn.Run(app.Prog, env.im, vn.Config{
+			Args: app.Args, MaxSteps: cfg.MaxCycles, LoadLatency: cfg.LoadLatency,
+			Memory: env.memory(), TracePoints: cfg.TracePoints,
+			Tracer: cfg.Tracer, Stop: cfg.Stop,
+		})
+		return settle(it, env, metrics.RunStats{
+			Completed: res.Completed, Cycles: res.Cycles, Fired: res.Fired,
+			PeakLive: res.PeakLive, MeanLive: res.MeanLive,
+			IPCHist: res.IPCHist, Trace: res.Trace, Note: res.Note,
+		}, res.Ret, err)
 
 	case SysSeqDF:
-		im := app.NewImage()
-		if cfg.imageSink != nil {
-			*cfg.imageSink = im
-		}
-		if cfg.Tracer != nil {
-			cfg.Tracer.SetMeta(trace.Meta{Program: app.Name, System: system})
-		}
-		hier, err := newHierarchy(cfg, im)
+		env, err := prepare(it, nil)
 		if err != nil {
 			return rs, err
 		}
-		scfg := seqdf.Config{
+		res, err := seqdf.Run(app.Prog, env.im, seqdf.Config{
 			Args: app.Args, MaxSteps: cfg.MaxCycles, IssueWidth: cfg.IssueWidth,
-			LoadLatency: int64(cfg.LoadLatency), TracePoints: cfg.TracePoints,
-			Tracer: cfg.Tracer, Stop: cfg.Stop,
-		}
-		if hier != nil {
-			scfg.Memory = hier
-		}
-		res, err := seqdf.Run(app.Prog, im, scfg)
-		if err != nil {
-			return rs, err
-		}
-		if !cfg.SkipCheck {
-			if err := app.Check(im, res.Ret); err != nil {
-				return rs, fmt.Errorf("harness: %s on %s produced wrong output: %w", app.Name, system, err)
-			}
-		}
-		rs.Completed = true
-		rs.Cycles, rs.Fired = res.Cycles, res.Fired
-		rs.PeakLive, rs.MeanLive = res.PeakLive, res.MeanLive
-		rs.IPCHist = res.IPCHist
-		rs.Trace = convertTrace(res.Trace)
-		rs.Note = res.Note
-		attachCache(&rs, hier)
-		return rs, nil
+			LoadLatency: int64(cfg.LoadLatency), Memory: env.memory(),
+			TracePoints: cfg.TracePoints, Tracer: cfg.Tracer, Stop: cfg.Stop,
+		})
+		return settle(it, env, metrics.RunStats{
+			Completed: res.Completed, Cycles: res.Cycles, Fired: res.Fired,
+			PeakLive: res.PeakLive, MeanLive: res.MeanLive,
+			IPCHist: res.IPCHist, Trace: res.Trace, Note: res.Note,
+		}, res.Ret, err)
 
 	case SysOrdered:
 		g, err := graphs.Ordered(app)
 		if err != nil {
 			return rs, err
 		}
-		im := app.NewImage()
-		if cfg.imageSink != nil {
-			*cfg.imageSink = im
-		}
-		if cfg.Tracer != nil {
-			cfg.Tracer.SetMeta(trace.MetaFromGraph(app.Name, system, g))
-		}
-		hier, err := newHierarchy(cfg, im)
+		env, err := prepare(it, g)
 		if err != nil {
 			return rs, err
 		}
 		ocfg := orderedConfigFor(cfg)
-		if hier != nil {
-			ocfg.Memory = hier
-		}
-		res, err := ordered.Run(g, im, ocfg)
-		if err != nil {
-			return rs, err
-		}
-		if !cfg.SkipCheck {
-			if err := app.Check(im, res.ResultValue); err != nil {
-				return rs, fmt.Errorf("harness: %s on %s produced wrong output: %w", app.Name, system, err)
-			}
-		}
-		fillOrderedStats(&rs, res)
-		attachCache(&rs, hier)
-		return rs, nil
+		ocfg.Memory = env.memory()
+		res, err := ordered.Run(g, env.im, ocfg)
+		return settle(it, env, orderedStats(res), res.ResultValue, err)
 
 	case SysUnordered, SysTyr:
 		g, err := graphs.Tagged(app)
 		if err != nil {
 			return rs, err
 		}
+		env, err := prepare(it, g)
+		if err != nil {
+			return rs, err
+		}
 		ecfg := coreConfigFor(system, cfg)
-		im := app.NewImage()
-		if cfg.imageSink != nil {
-			*cfg.imageSink = im
-		}
-		if cfg.Tracer != nil {
-			cfg.Tracer.SetMeta(trace.MetaFromGraph(app.Name, system, g))
-		}
-		hier, err := newHierarchy(cfg, im)
-		if err != nil {
-			return rs, err
-		}
-		if hier != nil {
-			ecfg.Memory = hier
-		}
-		res, err := core.Run(g, im, ecfg)
-		if err != nil {
-			return rs, err
-		}
-		fillCoreStats(&rs, res)
-		attachCache(&rs, hier)
-		if res.Deadlocked {
-			return rs, nil
-		}
-		if !cfg.SkipCheck {
-			if err := app.Check(im, res.ResultValue); err != nil {
-				return rs, fmt.Errorf("harness: %s on %s produced wrong output: %w", app.Name, system, err)
-			}
-		}
-		return rs, nil
+		ecfg.Memory = env.memory()
+		res, err := core.Run(g, env.im, ecfg)
+		return settle(it, env, coreStats(res), res.ResultValue, err)
 	}
 	return rs, fmt.Errorf("harness: unknown system %q", system)
 }
@@ -354,52 +329,30 @@ func orderedConfigFor(cfg SysConfig) ordered.Config {
 	}
 }
 
-// fillCoreStats copies a tagged-engine result into the uniform record,
+// coreStats converts a tagged-engine result into the uniform record,
 // including the deadlock post-mortem when the run deadlocked.
-func fillCoreStats(rs *metrics.RunStats, res core.Result) {
-	rs.Completed = res.Completed
-	rs.Deadlocked = res.Deadlocked
-	rs.Cycles, rs.Fired = res.Cycles, res.Fired
-	rs.PeakLive, rs.MeanLive = res.PeakLive, res.MeanLive
-	rs.IPCHist = res.IPCHist
-	rs.Trace = convertCoreTrace(res.Trace)
-	rs.PeakTags = res.PeakTags
-	rs.Note = res.Note
+func coreStats(res core.Result) metrics.RunStats {
+	rs := metrics.RunStats{
+		Completed: res.Completed, Deadlocked: res.Deadlocked,
+		Cycles: res.Cycles, Fired: res.Fired,
+		PeakLive: res.PeakLive, MeanLive: res.MeanLive,
+		IPCHist: res.IPCHist, Trace: res.Trace,
+		PeakTags: res.PeakTags, Note: res.Note,
+	}
 	if res.Deadlocked {
 		rs.Note = res.Note + "; " + res.Deadlock.String()
 		rs.Deadlock = convertDeadlock(res.Deadlock)
 	}
+	return rs
 }
 
-// fillOrderedStats copies a FIFO-machine result into the uniform record.
-func fillOrderedStats(rs *metrics.RunStats, res ordered.Result) {
-	rs.Completed = res.Completed
-	rs.Cycles, rs.Fired = res.Cycles, res.Fired
-	rs.PeakLive, rs.MeanLive = res.PeakLive, res.MeanLive
-	rs.IPCHist = res.IPCHist
-	rs.Trace = convertTrace(res.Trace)
-	rs.Note = res.Note
-}
-
-// convertTrace adapts any engine's state-point slice to the uniform trace
-// record. All engines share the same point shape.
-func convertTrace[T ~struct {
-	Cycle int64
-	Live  int64
-}](pts []T) []metrics.TracePoint {
-	out := make([]metrics.TracePoint, len(pts))
-	for i, p := range pts {
-		s := struct {
-			Cycle int64
-			Live  int64
-		}(p)
-		out[i] = metrics.TracePoint{Cycle: s.Cycle, Live: s.Live}
+// orderedStats converts a FIFO-machine result into the uniform record.
+func orderedStats(res ordered.Result) metrics.RunStats {
+	return metrics.RunStats{
+		Completed: res.Completed, Cycles: res.Cycles, Fired: res.Fired,
+		PeakLive: res.PeakLive, MeanLive: res.MeanLive,
+		IPCHist: res.IPCHist, Trace: res.Trace, Note: res.Note,
 	}
-	return out
-}
-
-func convertCoreTrace(pts []core.StatePoint) []metrics.TracePoint {
-	return convertTrace(pts)
 }
 
 // convertDeadlock adapts the engine's deadlock post-mortem to the telemetry
