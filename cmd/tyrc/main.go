@@ -158,15 +158,10 @@ func main() {
 	// simulation. The source was already parsed (and optionally optimized)
 	// above for the emit/vet paths, so resolve the app from p directly
 	// rather than re-parsing through the plan's ResolveApp.
-	exec, err := machine.ExecSpec()
-	if err != nil {
-		fail(err)
-	}
 	req := api.Request{
 		System:     machine.System,
 		IssueWidth: machine.Width,
 		Tags:       machine.Tags,
-		Exec:       exec,
 		Source:     string(src),
 		Args:       args,
 		Cache:      cacheFlags.Spec(),

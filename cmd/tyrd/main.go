@@ -3,21 +3,10 @@
 // the /v1/debug/requests flight-recorder dumps.
 //
 //	tyrd [-addr :8080] [-workers N] [-queue N] [-timeout 30s] [-cache-size 64]
-//	     [-cache-dir DIR] [-batch N] [-batch-window 2ms]
+//	     [-cache-dir DIR]
 //	     [-peers host:port,...] [-partial-timeout 60s] [-peer-retries 1]
 //	     [-debug-addr 127.0.0.1:8081] [-flight-ring 64] [-flight-slow 500ms]
 //	     [-flight-sample 64] [-flight-trace-events 8192]
-//
-// -batch N enables lockstep coalescing: up to N queued /v1/run requests
-// for the same named kernel (same compiled graph) advance together as one
-// pool job, each result bit-identical to a solo run, and sweep cells
-// sharing a graph co-batch the same way. Batching is work-conserving: on
-// an idle server the first request of a graph waits at most -batch-window
-// for batchmates before its batch runs partial, but while every worker is
-// busy a forming batch keeps filling — flushing it early could not start
-// it any sooner. A request can lower its own batch's width with
-// exec.batch (exec.batch=1 opts out). See the README's "Batched serving"
-// runbook.
 //
 // -cache-dir spills the compiled-graph LRU to a content-addressed artifact
 // directory of tyr-graph/v1 files keyed by source hash: restarts — and any
@@ -81,8 +70,6 @@ func main() {
 	partialTimeout := flag.Duration("partial-timeout", 60*time.Second, "per-partial deadline for fanned-out sweep requests")
 	peerRetries := flag.Int("peer-retries", 1, "remote re-sheds per failed sweep partial before it runs locally")
 	oracleSteps := flag.Int64("oracle-max-steps", 0, "dynamic-instruction budget for inline-source oracle runs (0 = 2^32)")
-	batch := flag.Int("batch", 0, "lockstep batch width: coalesce up to N queued runs of one compiled graph into a single pool job (0 or 1 = off)")
-	batchWindow := flag.Duration("batch-window", 0, "how long a forming batch waits for batchmates before running partial (0 = 2ms)")
 	drain := flag.Duration("drain", 2*time.Minute, "grace period for in-flight requests on shutdown")
 	debugAddr := flag.String("debug-addr", "", "optional second listener for pprof and flight dumps (e.g. 127.0.0.1:8081; empty = off)")
 	flightRing := flag.Int("flight-ring", 0, "completed requests retained in the flight recorder (0 = 64)")
@@ -117,8 +104,6 @@ func main() {
 		PartialTimeout: *partialTimeout,
 		PeerRetries:    *peerRetries,
 		OracleMaxSteps: *oracleSteps,
-		BatchSize:      *batch,
-		BatchWindow:    *batchWindow,
 		Logger:         log,
 		Flight: obs.Config{
 			RingSize:      *flightRing,

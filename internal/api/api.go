@@ -94,10 +94,9 @@ type ExecSpec struct {
 	// clients keep decoding: 0 or 1 (every run is single-threaded) is
 	// accepted and ignored, anything else is a validation error.
 	Shards int `json:"shards,omitempty"`
-	// Batch is the lockstep batch width B: the server may coalesce up to
-	// B queued requests that share this request's compiled graph into one
-	// batch job, each instance's result bit-identical to a solo run.
-	// 0 or 1 = no batching; the server's own -batch setting caps it.
+	// Batch survives from the removed lockstep batching the same way:
+	// 0 or 1 (every run is its own job) is accepted and ignored, anything
+	// else is a validation error.
 	Batch int `json:"batch,omitempty"`
 	// DeadlineMS bounds the run's wall clock; the service cancels the
 	// engine at the deadline and reports 504. Zero means the server
@@ -142,7 +141,7 @@ type Request struct {
 	// MaxCycles overrides the engine's runaway budget.
 	MaxCycles int64 `json:"max_cycles,omitempty"`
 
-	// Exec groups the scheduling knobs (batch, deadline_ms).
+	// Exec groups the scheduling knobs (deadline_ms).
 	Exec *ExecSpec `json:"exec,omitempty"`
 
 	// TimeoutMS is the deprecated top-level spelling of exec.deadline_ms;
@@ -150,15 +149,6 @@ type Request struct {
 	// deprecation note), but setting both to different values is an
 	// error.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-// ExecBatch resolves the effective lockstep batch width (exec block only;
-// batch never had a top-level spelling).
-func (r *Request) ExecBatch() int {
-	if r.Exec != nil {
-		return r.Exec.Batch
-	}
-	return 0
 }
 
 // ExecDeadlineMS resolves the effective wall-clock bound across the exec
@@ -306,15 +296,18 @@ func (r *Request) validate() (*prog.Program, error) {
 		knobs = append(knobs, sized("block_tags."+b, r.BlockTags[b]))
 	}
 	if r.Exec != nil {
-		knobs = append(knobs, nonNegative("exec.batch", int64(r.Exec.Batch)),
-			nonNegative("exec.deadline_ms", r.Exec.DeadlineMS))
+		knobs = append(knobs, nonNegative("exec.deadline_ms", r.Exec.DeadlineMS))
 	}
 	checkKnobs(&errs, knobs)
 	var notes []string
 	if r.Exec != nil && r.Exec.Shards != 0 && r.Exec.Shards != 1 {
 		errs = append(errs, FieldError{"exec.shards", fmt.Sprintf("must be 0 or 1 (got %d)", r.Exec.Shards)})
 		notes = append(notes, "sharded execution was removed: every run is single-threaded; "+
-			"parallelism comes from pool workers, sweeps, and exec.batch")
+			"parallelism comes from pool workers and sweeps")
+	}
+	if r.Exec != nil && r.Exec.Batch != 0 && r.Exec.Batch != 1 {
+		errs = append(errs, FieldError{"exec.batch", fmt.Sprintf("must be 0 or 1 (got %d)", r.Exec.Batch)})
+		notes = append(notes, "lockstep batching was removed: every request runs as its own pool job")
 	}
 	if r.TimeoutMS != 0 {
 		notes = append(notes, `top-level "timeout_ms" is deprecated; use exec.deadline_ms`)
@@ -340,9 +333,8 @@ type Plan struct {
 	// Cfg is the harness configuration. Per-call plumbing (Stop,
 	// Telemetry, Tracer, Compiler) is left for the caller to attach.
 	Cfg harness.SysConfig
-	// Batch and DeadlineMS are the resolved exec knobs; DeadlineMS zero
-	// means the server or CLI default.
-	Batch      int
+	// DeadlineMS is the resolved wall-clock bound; zero means the server
+	// or CLI default.
 	DeadlineMS int64
 
 	req *Request
@@ -374,7 +366,6 @@ func (r *Request) Plan() (*Plan, error) {
 			Sanitize:    r.Sanitize,
 			MaxCycles:   r.MaxCycles,
 		},
-		Batch:      r.ExecBatch(),
 		DeadlineMS: r.ExecDeadlineMS(),
 		req:        r,
 		src:        src,

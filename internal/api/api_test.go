@@ -38,7 +38,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		Cache:       &CacheSpec{L1: "sets=16,ways=2,line=4,lat=1", MSHRs: 4, Passthrough: true},
 		TracePoints: -1,
 		Sanitize:    true,
-		Exec:        &ExecSpec{Shards: 1, Batch: 8, DeadlineMS: 5000},
+		Exec:        &ExecSpec{Shards: 1, Batch: 1, DeadlineMS: 5000},
 		MaxCycles:   1 << 20,
 	}
 	data, err := json.Marshal(in)
@@ -140,7 +140,7 @@ func TestPlanConversion(t *testing.T) {
 		App: "dmv", System: "tyr",
 		IssueWidth: 32, Tags: 4, GlobalTags: 8, QueueCap: 2,
 		LoadLatency: 7, TracePoints: 128, SkipCheck: true, Sanitize: true,
-		Exec:      &ExecSpec{Shards: 1, Batch: 16, DeadlineMS: 2500},
+		Exec:      &ExecSpec{Shards: 1, Batch: 1, DeadlineMS: 2500},
 		MaxCycles: 999,
 		Cache:     &CacheSpec{MemLatency: 50, MSHRs: 2},
 	}
@@ -160,9 +160,8 @@ func TestPlanConversion(t *testing.T) {
 	if !reflect.DeepEqual(sc, want) {
 		t.Errorf("conversion mismatch:\n got %+v\nwant %+v", sc, want)
 	}
-	if plan.Batch != 16 || plan.DeadlineMS != 2500 {
-		t.Errorf("exec knobs not resolved: batch=%d deadline=%d",
-			plan.Batch, plan.DeadlineMS)
+	if plan.DeadlineMS != 2500 {
+		t.Errorf("exec deadline not resolved: %d", plan.DeadlineMS)
 	}
 }
 
@@ -228,22 +227,23 @@ func assertFieldAndNote(t *testing.T, err error, field, noteFrag string) {
 	}
 }
 
-// TestExecBatchResolution pins that batch has no top-level spelling: it
-// resolves from the exec block alone.
+// TestExecBatchResolution pins that exec.batch outlives lockstep batching
+// only as 0 or 1: both decode and plan, anything else names the field and
+// explains the removal.
 func TestExecBatchResolution(t *testing.T) {
-	r := Request{System: "tyr", App: "dmv"}
-	if r.ExecBatch() != 0 {
-		t.Errorf("no exec block: batch = %d, want 0", r.ExecBatch())
+	for _, n := range []int{0, 1} {
+		var r Request
+		body := fmt.Sprintf(`{"system":"tyr","app":"dmv","exec":{"batch":%d}}`, n)
+		if err := json.Unmarshal([]byte(body), &r); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Plan(); err != nil {
+			t.Errorf("exec.batch=%d rejected: %v", n, err)
+		}
 	}
-	r.Exec = &ExecSpec{Batch: 8}
-	if r.ExecBatch() != 8 {
-		t.Errorf("batch = %d, want 8", r.ExecBatch())
-	}
-	r.Exec.Batch = -1
-	err := r.Validate()
-	var ve *ValidationError
-	if !errors.As(err, &ve) {
-		t.Fatalf("negative exec.batch: err = %v, want *ValidationError", err)
+	for _, n := range []int{2, 8, -1} {
+		r := Request{System: "tyr", App: "dmv", Exec: &ExecSpec{Batch: n}}
+		assertFieldAndNote(t, r.Validate(), "exec.batch", "lockstep batching was removed")
 	}
 }
 
@@ -433,6 +433,7 @@ func FuzzRequestDecodeValidate(f *testing.F) {
 	f.Add(`{"app":"dmv","scale":"tiny","system":"tyr","tags":2000000000}`)
 	f.Add(`{"app":"dmv","scale":"tiny","system":"tyr","issue_width":2000000000}`)
 	f.Add(`{"app":"dmv","scale":"tiny","system":"tyr","block_tags":{"outer":2000000000}}`)
+	f.Add(`{"system":"vN","source":"program \"big\" entry main\nmem data[4000000000]\nfunc main() {\n  return 0\n}\n"}`)
 	f.Fuzz(func(t *testing.T, data string) {
 		var r Request
 		if err := json.Unmarshal([]byte(data), &r); err != nil {
@@ -440,7 +441,6 @@ func FuzzRequestDecodeValidate(f *testing.F) {
 		}
 		// Validate, the exec resolvers, and Plan must never panic on any
 		// decodable request; a valid request must plan cleanly.
-		_ = r.ExecBatch()
 		_ = r.ExecDeadlineMS()
 		if err := r.Validate(); err != nil {
 			return

@@ -24,9 +24,8 @@ const Schema = "tyr-bench/v1"
 type Doc struct {
 	Schema string `json:"schema"`
 	Scale  string `json:"scale"`
-	// Note records host conditions the numbers depend on — GOMAXPROCS and
-	// the batch sweep, chiefly — so a wall-clock comparison across files
-	// can be judged. It never enters the comparison itself.
+	// Note records host conditions the numbers depend on — GOMAXPROCS,
+	// chiefly — so a wall-clock comparison across files can be judged. It never enters the comparison itself.
 	Note    string   `json:"note,omitempty"`
 	Systems []System `json:"systems"`
 	// Runs carries the full per-run telemetry behind the summary.
@@ -45,9 +44,8 @@ type System struct {
 	L2MissRate float64 `json:"l2_miss_rate"`
 	MeanAMAT   float64 `json:"mean_amat"`
 	// ReqPerSec is simulation throughput in requests per second (runs
-	// divided by summed wall-clock), the headline number for the batched
-	// sys@bN entries of `tyrexp bench -batch`. Host-dependent like WallNS;
-	// never part of the cycle-identity comparison.
+	// divided by summed wall-clock). Host-dependent like WallNS; never
+	// part of the cycle-identity comparison.
 	ReqPerSec float64 `json:"req_per_sec,omitempty"`
 }
 

@@ -12,10 +12,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/api"
+	"repro/internal/metrics"
 )
 
 // warnOut is stderr, swapped out by tests.
@@ -64,80 +63,25 @@ func DeprecatedAlias(fs *flag.FlagSet, old, canonical string) {
 		old, fmt.Sprintf("deprecated alias for -%s", canonical))
 }
 
-// BatchList is the -batch value: one or more lockstep batch widths.
-// Tools that run a single simulation take one width via BatchWidth;
-// tyrexp bench sweeps the whole list. The zero value means "unset" — no
-// batching.
-type BatchList []int
-
-func (b *BatchList) String() string {
-	parts := make([]string, len(*b))
-	for i, n := range *b {
-		parts[i] = strconv.Itoa(n)
-	}
-	return strings.Join(parts, ",")
-}
-
-// Set parses a comma-separated list of positive batch widths.
-func (b *BatchList) Set(v string) error {
-	var out BatchList
-	for _, f := range strings.Split(v, ",") {
-		f = strings.TrimSpace(f)
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return fmt.Errorf("batch width %q: want a positive integer", f)
-		}
-		out = append(out, n)
-	}
-	*b = out
-	return nil
-}
-
-// Machine groups the system-selection flags: -width, -tags, and -batch,
-// plus -system (with the deprecated -sys alias) when defSystem is
+// Machine groups the system-selection flags: -width and -tags, plus -system (with the deprecated -sys alias) when defSystem is
 // non-empty.
 type Machine struct {
 	System string
 	Width  int
 	Tags   int
-	Batch  BatchList
-}
-
-// BatchWidth resolves -batch for tools that run one simulation: the
-// single listed width, 1 when the flag was not used, and an error when a
-// sweep list was given.
-func (m *Machine) BatchWidth() (int, error) {
-	switch len(m.Batch) {
-	case 0:
-		return 1, nil
-	case 1:
-		return m.Batch[0], nil
-	}
-	return 0, fmt.Errorf("-batch takes a single width here (got %s); lists are for tyrexp bench sweeps", m.Batch.String())
-}
-
-// ExecSpec converts the scheduling flags into the request's exec block:
-// nil when -batch was not used.
-func (m *Machine) ExecSpec() (*api.ExecSpec, error) {
-	batch, err := m.BatchWidth()
-	if err != nil || batch <= 1 {
-		return nil, err
-	}
-	return &api.ExecSpec{Batch: batch}, nil
 }
 
 // RegisterMachine registers the machine group on fs. Tools that sweep all
 // systems (tyrexp experiments) pass defSystem "" to get only
-// -width/-tags/-batch.
+// -width/-tags.
 func RegisterMachine(fs *flag.FlagSet, defSystem string) *Machine {
 	m := &Machine{}
 	if defSystem != "" {
 		fs.StringVar(&m.System, "system", defSystem, "system: vN, seqdf, ordered, unordered, tyr")
 		DeprecatedAlias(fs, "sys", "system")
 	}
-	fs.IntVar(&m.Width, "width", 128, "issue width")
-	fs.IntVar(&m.Tags, "tags", 64, "TYR tags per local tag space")
-	fs.Var(&m.Batch, "batch", "lockstep batch width for duplicate-workload runs, bit-identical per instance (default 1; tyrexp bench takes a comma list to sweep)")
+	fs.IntVar(&m.Width, "width", metrics.DefaultIssueWidth, "issue width")
+	fs.IntVar(&m.Tags, "tags", metrics.DefaultTags, "TYR tags per local tag space")
 	return m
 }
 

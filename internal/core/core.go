@@ -149,18 +149,14 @@ type Config struct {
 	Stop *cancel.Flag
 }
 
-const (
-	defaultIssueWidth   = 128
-	defaultTagsPerBlock = 64
-	defaultMaxCycles    = int64(1) << 34
-)
+const defaultMaxCycles = int64(1) << 34
 
 func (c Config) withDefaults() Config {
 	if c.IssueWidth == 0 {
-		c.IssueWidth = defaultIssueWidth
+		c.IssueWidth = metrics.DefaultIssueWidth
 	}
 	if c.TagsPerBlock == 0 {
-		c.TagsPerBlock = defaultTagsPerBlock
+		c.TagsPerBlock = metrics.DefaultTags
 	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = defaultMaxCycles

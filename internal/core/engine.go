@@ -147,8 +147,8 @@ type machine struct {
 	resultVal int64
 }
 
-// validateConfig rejects policy configurations no run can execute. Shared
-// by Run and RunBatch; cfg must already carry its defaults.
+// validateConfig rejects policy configurations no run can execute; cfg
+// must already carry its defaults.
 func validateConfig(cfg Config) error {
 	switch cfg.Policy {
 	case PolicyTyr, PolicyLocalNoGate, PolicyKBound:
@@ -191,35 +191,31 @@ func Run(g *dfg.Graph, im *mem.Image, cfg Config) (Result, error) {
 	return m.run()
 }
 
-// graphPlan caches the firing metadata every machine derives from the
-// graph and the memory image's region layout: per-node constant prefills,
-// presence-bitset widths, tail-recursion reserves, and region indices.
-// The plan is read-only after construction, so one plan is shared by every
-// instance of a lockstep batch — the dispatch-amortization half of the
-// batch design (DESIGN.md §11) — and built fresh per run on the serial
-// path.
-type graphPlan struct {
-	info   []nodeInfo
-	memIdx []int // graph region -> image region
-	maxIn  int
-}
-
-// planFor derives the plan for one graph/image pairing.
-func planFor(g *dfg.Graph, im *mem.Image) (*graphPlan, error) {
-	p := &graphPlan{
-		info:   make([]nodeInfo, len(g.Nodes)),
-		memIdx: make([]int, len(g.MemNames)),
+// newMachine builds a machine for one run: the per-node firing metadata
+// derived from the graph and the image's region layout (constant
+// prefills, presence-bitset widths, tail-recursion reserves, region
+// indices) and the machine's mutable state.
+func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
+	m := &machine{
+		g:       g,
+		im:      im,
+		cfg:     cfg,
+		info:    make([]nodeInfo, len(g.Nodes)),
+		stores:  make([]waitStore, len(g.Nodes)),
+		ipcHist: make([]int64, cfg.IssueWidth+1),
 	}
+	memIdx := make([]int, len(g.MemNames)) // graph region -> image region
 	for i, name := range g.MemNames {
 		idx, ok := im.Index(name)
 		if !ok {
 			return nil, fmt.Errorf("core: memory image missing region %q", name)
 		}
-		p.memIdx[i] = idx
+		memIdx[i] = idx
 	}
+	maxIn := 0
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
-		ni := &p.info[i]
+		ni := &m.info[i]
 		ni.constVals = make([]int64, n.NIn)
 		ni.words = (n.NIn + 63) / 64
 		for port := 0; port < n.NIn; port++ {
@@ -235,46 +231,12 @@ func planFor(g *dfg.Graph, im *mem.Image) (*graphPlan, error) {
 				ni.reserve = 1
 			}
 		case dfg.OpLoad, dfg.OpStore:
-			ni.memIdx = p.memIdx[n.Region]
+			ni.memIdx = memIdx[n.Region]
 		}
-		if n.NIn > p.maxIn {
-			p.maxIn = n.NIn
-		}
+		maxIn = max(maxIn, n.NIn)
+		m.stores[i].init(n.NIn, ni.words, ni.needInit, ni.constVals)
 	}
-	return p, nil
-}
-
-// matches reports whether im maps the graph's regions exactly as the plan
-// recorded — the condition for sharing the plan with another instance.
-func (p *graphPlan) matches(g *dfg.Graph, im *mem.Image) bool {
-	for i, name := range g.MemNames {
-		idx, ok := im.Index(name)
-		if !ok || idx != p.memIdx[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
-	p, err := planFor(g, im)
-	if err != nil {
-		return nil, err
-	}
-	return newMachineFromPlan(g, im, cfg, p), nil
-}
-
-// newMachineFromPlan builds one machine's per-instance state around a
-// (possibly shared) read-only plan.
-func newMachineFromPlan(g *dfg.Graph, im *mem.Image, cfg Config, p *graphPlan) *machine {
-	m := &machine{
-		g:       g,
-		im:      im,
-		cfg:     cfg,
-		info:    p.info,
-		stores:  make([]waitStore, len(g.Nodes)),
-		ipcHist: make([]int64, cfg.IssueWidth+1),
-	}
+	m.fireVals = make([]int64, maxIn)
 	m.storePeak = make([]int32, len(g.Nodes))
 	m.liveByBlock = make([]int64, len(g.Blocks))
 	m.peakByBlock = make([]int64, len(g.Blocks))
@@ -286,12 +248,6 @@ func newMachineFromPlan(g *dfg.Graph, im *mem.Image, cfg Config, p *graphPlan) *
 	}
 	m.trace = metrics.NewLiveTrace(cfg.TracePoints)
 	m.rec = cfg.Tracer
-
-	for i := range g.Nodes {
-		ni := &p.info[i]
-		m.stores[i].init(g.Nodes[i].NIn, ni.words, ni.needInit, ni.constVals)
-	}
-	m.fireVals = make([]int64, p.maxIn)
 
 	nspaces := len(g.Blocks)
 	m.inUse = make([]int, nspaces)
@@ -342,7 +298,7 @@ func newMachineFromPlan(g *dfg.Graph, im *mem.Image, cfg Config, p *graphPlan) *
 		}
 		m.poolLocal[s] = pool
 	}
-	return m
+	return m, nil
 }
 
 // spaceTags is the tag budget that applies to space s: the global pool
@@ -985,32 +941,11 @@ func (m *machine) fireAllocateKBound(ref fireRef, n *dfg.Node, slot int32) (bool
 	return true, nil
 }
 
-// start allocates the root context and injects the entry tokens: the
-// machine's state at cycle zero, before the first stepCycle.
-func (m *machine) start() error {
-	rootTag, err := m.allocRoot()
-	if err != nil {
-		return err
-	}
-	for _, inj := range m.g.Entries {
-		m.emit(dfg.InvalidNode, inj.To, rootTag, inj.Val)
-	}
-	return nil
-}
-
-// stopErr is the cancellation outcome every driver of stepCycle reports.
-func (m *machine) stopErr() error {
-	return fmt.Errorf("core: run stopped at cycle %d: %w", m.cycle, cancel.ErrStopped)
-}
-
 // stepCycle advances the machine by exactly one simulated cycle: deliver
 // last cycle's tokens, promote completions into the ready flow, and fire
 // up to IssueWidth instances. It reports done=true when the machine has
-// quiesced (nothing ready, nothing in flight) — the caller then calls
-// finish. Splitting the cycle out of run is what lets the lockstep driver
-// (internal/lockstep) interleave B machines while the serial loop stays
-// a thin wrapper; the caller owns the cancel poll, exactly where
-// the old loop polled it.
+// quiesced (nothing ready, nothing in flight) — run then calls finish.
+// run owns the cancel poll at every cycle boundary.
 //
 //tyr:hotpath
 func (m *machine) stepCycle() (bool, error) {
@@ -1086,17 +1021,22 @@ func (m *machine) stepCycle() (bool, error) {
 	return false, nil
 }
 
-// run is the main cycle loop.
+// run is the main cycle loop: it allocates the root context, injects the
+// entry tokens, and steps one cycle at a time until the machine quiesces.
 //
 //tyr:cycleloop
 //tyr:hotpath
 func (m *machine) run() (Result, error) {
-	if err := m.start(); err != nil {
+	rootTag, err := m.allocRoot()
+	if err != nil {
 		return Result{}, err
+	}
+	for _, inj := range m.g.Entries {
+		m.emit(dfg.InvalidNode, inj.To, rootTag, inj.Val)
 	}
 	for {
 		if m.cfg.Stop.Stopped() {
-			return Result{}, m.stopErr()
+			return Result{}, fmt.Errorf("core: run stopped at cycle %d: %w", m.cycle, cancel.ErrStopped)
 		}
 		done, err := m.stepCycle()
 		if err != nil {

@@ -30,12 +30,8 @@ type ExpConfig struct {
 }
 
 func (c ExpConfig) withDefaults() ExpConfig {
-	if c.IssueWidth == 0 {
-		c.IssueWidth = 128
-	}
-	if c.Tags == 0 {
-		c.Tags = 64
-	}
+	sc := c.sys().withDefaults()
+	c.IssueWidth, c.Tags = sc.IssueWidth, sc.Tags
 	return c
 }
 

@@ -114,13 +114,13 @@ func (compileSource) Ordered(app *apps.App) (*dfg.Graph, error) {
 
 func (c SysConfig) withDefaults() SysConfig {
 	if c.IssueWidth == 0 {
-		c.IssueWidth = 128
+		c.IssueWidth = metrics.DefaultIssueWidth
 	}
 	if c.Tags == 0 {
-		c.Tags = 64
+		c.Tags = metrics.DefaultTags
 	}
 	if c.QueueCap == 0 {
-		c.QueueCap = 4
+		c.QueueCap = metrics.DefaultQueueCap
 	}
 	return c
 }
@@ -164,11 +164,15 @@ func attachCache(rs *metrics.RunStats, h *cache.Hierarchy) {
 	rs.Cache = &cs
 }
 
-// runEnv is one run's prepared environment: its fresh memory image and,
-// when a cache is configured, the hierarchy in front of it.
+// runEnv is one run's prepared environment: the workload, system and
+// configuration, the fresh memory image and, when a cache is configured,
+// the hierarchy in front of it.
 type runEnv struct {
-	im   *mem.Image
-	hier *cache.Hierarchy
+	app    *apps.App
+	system string
+	cfg    SysConfig
+	im     *mem.Image
+	hier   *cache.Hierarchy
 }
 
 // memory is the access model the engine routes loads and stores through:
@@ -183,20 +187,20 @@ func (e runEnv) memory() mem.AccessModel {
 // prepare builds one run's image and memory hierarchy, hands the image to
 // the test sink, and stamps the tracer with the run's metadata (the graph's
 // blocks and nodes when there is a graph; g is nil for vN and seqdf).
-func prepare(it BatchItem, g *dfg.Graph) (runEnv, error) {
-	env := runEnv{im: it.App.NewImage()}
-	if it.Cfg.imageSink != nil {
-		*it.Cfg.imageSink = env.im
+func prepare(app *apps.App, system string, cfg SysConfig, g *dfg.Graph) (runEnv, error) {
+	env := runEnv{app: app, system: system, cfg: cfg, im: app.NewImage()}
+	if cfg.imageSink != nil {
+		*cfg.imageSink = env.im
 	}
-	if it.Cfg.Tracer != nil {
-		meta := trace.Meta{Program: it.App.Name, System: it.System}
+	if cfg.Tracer != nil {
+		meta := trace.Meta{Program: app.Name, System: system}
 		if g != nil {
-			meta = trace.MetaFromGraph(it.App.Name, it.System, g)
+			meta = trace.MetaFromGraph(app.Name, system, g)
 		}
-		it.Cfg.Tracer.SetMeta(meta)
+		cfg.Tracer.SetMeta(meta)
 	}
 	var err error
-	env.hier, err = newHierarchy(it.Cfg, env.im)
+	env.hier, err = newHierarchy(cfg, env.im)
 	return env, err
 }
 
@@ -205,15 +209,15 @@ func prepare(it BatchItem, g *dfg.Graph) (runEnv, error) {
 // cache counters and the output is validated against the workload's
 // reference unless the run deadlocked or skips the check; a failed check
 // returns the filled record together with the error.
-func settle(it BatchItem, env runEnv, rs metrics.RunStats, result int64, err error) (metrics.RunStats, error) {
+func (e runEnv) settle(rs metrics.RunStats, result int64, err error) (metrics.RunStats, error) {
 	if err != nil {
-		return metrics.RunStats{System: it.System, App: it.App.Name}, err
+		return metrics.RunStats{System: e.system, App: e.app.Name}, err
 	}
-	rs.System, rs.App = it.System, it.App.Name
-	attachCache(&rs, env.hier)
-	if !rs.Deadlocked && !it.Cfg.SkipCheck {
-		if cerr := it.App.Check(env.im, result); cerr != nil {
-			return rs, fmt.Errorf("harness: %s on %s produced wrong output: %w", it.App.Name, it.System, cerr)
+	rs.System, rs.App = e.system, e.app.Name
+	attachCache(&rs, e.hier)
+	if !rs.Deadlocked && !e.cfg.SkipCheck {
+		if cerr := e.app.Check(e.im, result); cerr != nil {
+			return rs, fmt.Errorf("harness: %s on %s produced wrong output: %w", e.app.Name, e.system, cerr)
 		}
 	}
 	return rs, nil
@@ -221,7 +225,6 @@ func settle(it BatchItem, env runEnv, rs metrics.RunStats, result int64, err err
 
 func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, error) {
 	cfg = cfg.withDefaults()
-	it := BatchItem{App: app, System: system, Cfg: cfg}
 	rs := metrics.RunStats{System: system, App: app.Name}
 	graphs := GraphSource(compileSource{})
 	if cfg.Compiler != nil {
@@ -230,7 +233,7 @@ func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, e
 
 	switch system {
 	case SysVN:
-		env, err := prepare(it, nil)
+		env, err := prepare(app, system, cfg, nil)
 		if err != nil {
 			return rs, err
 		}
@@ -239,14 +242,14 @@ func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, e
 			Memory: env.memory(), TracePoints: cfg.TracePoints,
 			Tracer: cfg.Tracer, Stop: cfg.Stop,
 		})
-		return settle(it, env, metrics.RunStats{
+		return env.settle(metrics.RunStats{
 			Completed: res.Completed, Cycles: res.Cycles, Fired: res.Fired,
 			PeakLive: res.PeakLive, MeanLive: res.MeanLive,
 			IPCHist: res.IPCHist, Trace: res.Trace, Note: res.Note,
 		}, res.Ret, err)
 
 	case SysSeqDF:
-		env, err := prepare(it, nil)
+		env, err := prepare(app, system, cfg, nil)
 		if err != nil {
 			return rs, err
 		}
@@ -255,7 +258,7 @@ func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, e
 			LoadLatency: int64(cfg.LoadLatency), Memory: env.memory(),
 			TracePoints: cfg.TracePoints, Tracer: cfg.Tracer, Stop: cfg.Stop,
 		})
-		return settle(it, env, metrics.RunStats{
+		return env.settle(metrics.RunStats{
 			Completed: res.Completed, Cycles: res.Cycles, Fired: res.Fired,
 			PeakLive: res.PeakLive, MeanLive: res.MeanLive,
 			IPCHist: res.IPCHist, Trace: res.Trace, Note: res.Note,
@@ -266,28 +269,28 @@ func runSystem(app *apps.App, system string, cfg SysConfig) (metrics.RunStats, e
 		if err != nil {
 			return rs, err
 		}
-		env, err := prepare(it, g)
+		env, err := prepare(app, system, cfg, g)
 		if err != nil {
 			return rs, err
 		}
 		ocfg := orderedConfigFor(cfg)
 		ocfg.Memory = env.memory()
 		res, err := ordered.Run(g, env.im, ocfg)
-		return settle(it, env, orderedStats(res), res.ResultValue, err)
+		return env.settle(orderedStats(res), res.ResultValue, err)
 
 	case SysUnordered, SysTyr:
 		g, err := graphs.Tagged(app)
 		if err != nil {
 			return rs, err
 		}
-		env, err := prepare(it, g)
+		env, err := prepare(app, system, cfg, g)
 		if err != nil {
 			return rs, err
 		}
 		ecfg := coreConfigFor(system, cfg)
 		ecfg.Memory = env.memory()
 		res, err := core.Run(g, env.im, ecfg)
-		return settle(it, env, coreStats(res), res.ResultValue, err)
+		return env.settle(coreStats(res), res.ResultValue, err)
 	}
 	return rs, fmt.Errorf("harness: unknown system %q", system)
 }

@@ -107,13 +107,11 @@ func DefaultPolicy() Policy {
 			"repro/internal/seqdf",
 			"repro/internal/vn",
 			"repro/internal/prog",
-			"repro/internal/lockstep", // the batch schedule feeds the engines' determinism contract
 		},
 		CycleLoopPkgs: []string{
 			"repro/internal/core",
 			"repro/internal/ordered",
 			"repro/internal/prog",
-			"repro/internal/lockstep",
 		},
 		DelegatingEngines: []string{
 			"repro/internal/vn",

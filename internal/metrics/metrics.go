@@ -11,6 +11,14 @@ import (
 	"strings"
 )
 
+// The paper's machine parameters (Sec. VII): the one declaration of the
+// value a zero knob resolves to in the harness and in every engine.
+const (
+	DefaultIssueWidth = 128 // instructions fired per cycle
+	DefaultTags       = 64  // TYR tags per local tag space
+	DefaultQueueCap   = 4   // ordered dataflow FIFO depth, in tokens
+)
+
 // TracePoint is one sample of a live-state-over-time trace.
 type TracePoint struct {
 	Cycle int64 `json:"cycle"`

@@ -49,18 +49,14 @@ type Config struct {
 	Stop *cancel.Flag
 }
 
-const (
-	defaultIssueWidth = 128
-	defaultQueueCap   = 4
-	defaultMaxCycles  = int64(1) << 34
-)
+const defaultMaxCycles = int64(1) << 34
 
 func (c Config) withDefaults() Config {
 	if c.IssueWidth == 0 {
-		c.IssueWidth = defaultIssueWidth
+		c.IssueWidth = metrics.DefaultIssueWidth
 	}
 	if c.QueueCap == 0 {
-		c.QueueCap = defaultQueueCap
+		c.QueueCap = metrics.DefaultQueueCap
 	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = defaultMaxCycles
@@ -217,37 +213,42 @@ func validateConfig(cfg Config) error {
 	return nil
 }
 
-// graphPlan is the read-only per-graph metadata a machine consults while
-// firing: the flattened port index, the producers-of wake-up lists, and
-// the graph-region → image-region mapping. One plan is built per graph
-// and shared by every instance of a lockstep batch (RunBatch), so
-// dispatch metadata stays hot across instances.
-type graphPlan struct {
-	portBase    []int32
-	nports      int32
-	maxIn       int
-	producersOf [][]dfg.NodeID
-	memIdx      []int
-}
-
-// planFor builds the shared plan for a graph against a memory image's
-// region layout.
-func planFor(g *dfg.Graph, im *mem.Image) (*graphPlan, error) {
-	p := &graphPlan{portBase: make([]int32, len(g.Nodes))}
-	for i := range g.Nodes {
-		p.portBase[i] = p.nports
-		p.nports += int32(g.Nodes[i].NIn)
-		if g.Nodes[i].NIn > p.maxIn {
-			p.maxIn = g.Nodes[i].NIn
-		}
+// newMachine builds a machine for one run: the flattened port index, the
+// producers-of wake-up lists, the graph-region → image-region mapping,
+// and the machine's mutable state (queues, staged buffers, counters).
+func newMachine(g *dfg.Graph, im *mem.Image, cfg Config) (*machine, error) {
+	m := &machine{
+		g:           g,
+		im:          im,
+		cfg:         cfg,
+		queues:      make([][]fifo, len(g.Nodes)),
+		portBase:    make([]int32, len(g.Nodes)),
+		memIdx:      make([]int, len(g.MemNames)),
+		producersOf: make([][]dfg.NodeID, len(g.Nodes)),
+		dirty:       &dirtySet{marked: make([]bool, len(g.Nodes))},
+		nextDirty:   &dirtySet{marked: make([]bool, len(g.Nodes))},
+		ipcHist:     make([]int64, cfg.IssueWidth+1),
+		trace:       metrics.NewLiveTrace(cfg.TracePoints),
+		rec:         cfg.Tracer,
 	}
-	p.memIdx = make([]int, len(g.MemNames))
+	var nports int32
+	maxIn := 0
+	for i := range g.Nodes {
+		m.portBase[i] = nports
+		nports += int32(g.Nodes[i].NIn)
+		maxIn = max(maxIn, g.Nodes[i].NIn)
+		m.queues[i] = make([]fifo, g.Nodes[i].NIn)
+	}
+	m.stagedN = make([]int32, nports)
+	m.inFlight = make([]int32, nports)
+	m.lastDue = make([]int64, nports)
+	m.vals = make([]int64, maxIn)
 	for i, name := range g.MemNames {
 		idx, ok := im.Index(name)
 		if !ok {
 			return nil, fmt.Errorf("ordered: memory image missing region %q", name)
 		}
-		p.memIdx[i] = idx
+		m.memIdx[i] = idx
 	}
 	producers := make([]map[dfg.NodeID]bool, len(g.Nodes))
 	for i := range g.Nodes {
@@ -260,74 +261,16 @@ func planFor(g *dfg.Graph, im *mem.Image) (*graphPlan, error) {
 			}
 		}
 	}
-	p.producersOf = make([][]dfg.NodeID, len(g.Nodes))
 	for i, set := range producers {
 		//tyr:nondet-ok -- set flattened here, sorted immediately below
 		for pr := range set {
-			p.producersOf[i] = append(p.producersOf[i], pr)
+			m.producersOf[i] = append(m.producersOf[i], pr)
 		}
 		// Sorted so wake-up order (and thus the dirty list) never depends
 		// on map iteration.
-		sortNodeIDs(p.producersOf[i])
+		sortNodeIDs(m.producersOf[i])
 	}
-	return p, nil
-}
-
-// matches reports whether another image's region layout resolves
-// identically under this plan, so the plan may be shared with it.
-func (p *graphPlan) matches(g *dfg.Graph, im *mem.Image) bool {
-	if len(p.memIdx) != len(g.MemNames) {
-		return false
-	}
-	for i, name := range g.MemNames {
-		idx, ok := im.Index(name)
-		if !ok || idx != p.memIdx[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// newMachineFromPlan wires a machine's mutable state (queues, staged
-// buffers, counters) around the shared read-only plan.
-func newMachineFromPlan(g *dfg.Graph, im *mem.Image, cfg Config, p *graphPlan) *machine {
-	m := &machine{
-		g:           g,
-		im:          im,
-		cfg:         cfg,
-		queues:      make([][]fifo, len(g.Nodes)),
-		dirty:       &dirtySet{marked: make([]bool, len(g.Nodes))},
-		nextDirty:   &dirtySet{marked: make([]bool, len(g.Nodes))},
-		ipcHist:     make([]int64, cfg.IssueWidth+1),
-		trace:       metrics.NewLiveTrace(cfg.TracePoints),
-		rec:         cfg.Tracer,
-		portBase:    p.portBase,
-		producersOf: p.producersOf,
-		memIdx:      p.memIdx,
-	}
-	m.stagedN = make([]int32, p.nports)
-	m.inFlight = make([]int32, p.nports)
-	m.lastDue = make([]int64, p.nports)
-	m.vals = make([]int64, p.maxIn)
-	for i := range g.Nodes {
-		m.queues[i] = make([]fifo, g.Nodes[i].NIn)
-	}
-	return m
-}
-
-// start injects the graph's entry tokens, arming the initial dirty set.
-func (m *machine) start() {
-	for _, inj := range m.g.Entries {
-		m.queues[inj.To.Node][inj.To.In].push(inj.Val)
-		m.live++
-		m.dirty.add(inj.To.Node)
-		if m.rec != nil {
-			m.rec.Record(trace.Event{Kind: trace.KindDeliver,
-				Node: int32(inj.To.Node), Src: trace.NoNode,
-				Block: int32(m.g.Nodes[inj.To.Node].Block),
-				Port:  int16(inj.To.In), Val: inj.Val})
-		}
-	}
+	return m, nil
 }
 
 // Run executes an ordered (ModeOrdered) graph against the memory image.
@@ -336,12 +279,10 @@ func Run(g *dfg.Graph, im *mem.Image, cfg Config) (Result, error) {
 	if err := validateConfig(cfg); err != nil {
 		return Result{}, err
 	}
-	p, err := planFor(g, im)
+	m, err := newMachine(g, im, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	m := newMachineFromPlan(g, im, cfg, p)
-	m.start()
 	return m.run()
 }
 
@@ -599,16 +540,9 @@ func (m *machine) fireNode(nid dfg.NodeID) error {
 	return nil
 }
 
-// stopErr is the error a cancelled run returns; split out so the loop's
-// normal path carries no formatting.
-func (m *machine) stopErr() error {
-	return fmt.Errorf("ordered: run stopped at cycle %d: %w", m.cycle, cancel.ErrStopped)
-}
-
 // stepCycle advances the machine by exactly one simulated cycle and
-// reports whether the machine has quiesced. Drivers (the serial run loop
-// and internal/lockstep) own cancel polling and termination;
-// keeping the step allocation-free keeps both drivers on the fast path.
+// reports whether the machine has quiesced; run owns cancel polling and
+// termination.
 //
 //tyr:hotpath
 func (m *machine) stepCycle() (bool, error) {
@@ -680,16 +614,27 @@ func (m *machine) stepCycle() (bool, error) {
 	return false, nil
 }
 
-// run is the machine's serial driver: one stepCycle per simulated cycle,
-// polling the cancel flag at every cycle boundary, allocation-free in
-// steady state.
+// run injects the graph's entry tokens, arming the initial dirty set, then
+// steps one cycle at a time, polling the cancel flag at every cycle
+// boundary, allocation-free in steady state.
 //
 //tyr:cycleloop
 //tyr:hotpath
 func (m *machine) run() (Result, error) {
+	for _, inj := range m.g.Entries {
+		m.queues[inj.To.Node][inj.To.In].push(inj.Val)
+		m.live++
+		m.dirty.add(inj.To.Node)
+		if m.rec != nil {
+			m.rec.Record(trace.Event{Kind: trace.KindDeliver,
+				Node: int32(inj.To.Node), Src: trace.NoNode,
+				Block: int32(m.g.Nodes[inj.To.Node].Block),
+				Port:  int16(inj.To.In), Val: inj.Val})
+		}
+	}
 	for {
 		if m.cfg.Stop.Stopped() {
-			return Result{}, m.stopErr()
+			return Result{}, fmt.Errorf("ordered: run stopped at cycle %d: %w", m.cycle, cancel.ErrStopped)
 		}
 		done, err := m.stepCycle()
 		if err != nil {

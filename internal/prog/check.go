@@ -5,10 +5,17 @@ import (
 	"sort"
 )
 
+// MaxMemWords bounds the words a program's mem regions may declare in
+// total. Every run allocates its regions up front, so a larger
+// declaration is refused here rather than failing the allocation; the
+// largest suite image (medium dmv) is 25,920 words.
+const MaxMemWords = 1 << 24
+
 // Check validates a program:
 //
 //   - the entry function exists,
-//   - memory regions are declared once and every access names one,
+//   - memory regions are declared once, every access names one, and
+//     their sizes together stay within MaxMemWords,
 //   - calls target existing functions with matching arity and the call
 //     graph is acyclic (no recursion; see Sec. V of the paper),
 //   - variables are declared before use, never redeclared in the same
@@ -60,12 +67,18 @@ func (c *checker) errorf(format string, args ...interface{}) {
 
 func (c *checker) run() {
 	c.mems = make(map[string]bool)
+	words := 0
 	for _, m := range c.p.Mems {
 		if c.mems[m.Name] {
 			c.errorf("memory region %q declared twice", m.Name)
 		}
 		if m.Size < 0 {
 			c.errorf("memory region %q has negative size %d", m.Name, m.Size)
+		} else if m.Size > MaxMemWords-words {
+			c.errorf("memory regions exceed %d words in total (region %q declares %d)", MaxMemWords, m.Name, m.Size)
+			words = MaxMemWords
+		} else {
+			words += m.Size
 		}
 		c.mems[m.Name] = true
 	}

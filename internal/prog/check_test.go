@@ -1,6 +1,8 @@
 package prog
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -270,5 +272,26 @@ func main() {
 	}
 	if res.Ret != 3 {
 		t.Errorf("got %d, want 3", res.Ret)
+	}
+}
+
+func TestCheckBoundsMemory(t *testing.T) {
+	mk := func(sizes ...int) *Program {
+		p := &Program{Name: "mem", Entry: "main", Funcs: []*Func{{Name: "main", Ret: Const{V: 0}}}}
+		for i, n := range sizes {
+			p.Mems = append(p.Mems, MemDecl{Name: fmt.Sprintf("r%d", i), Size: n})
+		}
+		return p
+	}
+	for _, sizes := range [][]int{{MaxMemWords}, {MaxMemWords / 2, MaxMemWords / 2}, {0, 25920}} {
+		if err := Check(mk(sizes...)); err != nil {
+			t.Errorf("regions %v rejected: %v", sizes, err)
+		}
+	}
+	for _, sizes := range [][]int{{4000000000}, {MaxMemWords + 1}, {MaxMemWords / 2, MaxMemWords/2 + 1}, {MaxMemWords, math.MaxInt}} {
+		err := Check(mk(sizes...))
+		if err == nil || !strings.Contains(err.Error(), "exceed") {
+			t.Errorf("regions %v: err = %v, want the memory bound", sizes, err)
+		}
 	}
 }

@@ -227,7 +227,7 @@ func maxI64(a, b int64) int64 {
 func Run(p *prog.Program, im *mem.Image, cfg Config) (Result, error) {
 	width := int64(cfg.IssueWidth)
 	if width == 0 {
-		width = 128
+		width = metrics.DefaultIssueWidth
 	}
 	m := &model{
 		width:   width,

@@ -284,3 +284,15 @@ func TestExplicitRangeServedLocally(t *testing.T) {
 		t.Fatalf("out-of-range sweep: status %d (want 400): %s", resp.StatusCode, body)
 	}
 }
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -67,12 +67,11 @@ func (h *Histogram) snapshot() (cum []int64, count int64, sum float64) {
 type Metrics struct {
 	start time.Time
 
-	mu         sync.Mutex
-	requests   map[string]*atomic.Int64 // "path|code" -> count
-	runs       map[string]*atomic.Int64 // system -> completed run count
-	batchFlush map[string]*atomic.Int64 // flush reason (full/window/drain) -> batches
-	durations  map[string]*Histogram    // endpoint path -> request latency
-	stages     map[string]*Histogram    // span stage -> stage latency
+	mu        sync.Mutex
+	requests  map[string]*atomic.Int64 // "path|code" -> count
+	runs      map[string]*atomic.Int64 // system -> completed run count
+	durations map[string]*Histogram    // endpoint path -> request latency
+	stages    map[string]*Histogram    // span stage -> stage latency
 
 	queueWait *Histogram // pool queue wait (submit -> job start)
 
@@ -90,21 +89,18 @@ type Metrics struct {
 	fleetPartials  atomic.Int64 // sweep partials dispatched by the coordinator
 	fleetResheds   atomic.Int64 // partials re-shed after a peer failure/timeout
 	fleetPeerFails atomic.Int64 // peers marked dead during a sweep
-	batchFormed    atomic.Int64 // lockstep batches dispatched by the coalescer
-	batchSize      atomic.Int64 // total instances coalesced into those batches
 	simCycles      atomic.Int64 // total simulated cycles served
 }
 
 // NewMetrics returns an empty counter set.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		start:      time.Now(),
-		requests:   make(map[string]*atomic.Int64),
-		runs:       make(map[string]*atomic.Int64),
-		batchFlush: make(map[string]*atomic.Int64),
-		durations:  make(map[string]*Histogram),
-		stages:     make(map[string]*Histogram),
-		queueWait:  NewHistogram(nil),
+		start:     time.Now(),
+		requests:  make(map[string]*atomic.Int64),
+		runs:      make(map[string]*atomic.Int64),
+		durations: make(map[string]*Histogram),
+		stages:    make(map[string]*Histogram),
+		queueWait: NewHistogram(nil),
 	}
 }
 
@@ -132,15 +128,6 @@ func (m *Metrics) ObserveRun(system string, cycles int64) {
 
 // ObserveCancel counts a run cut short by deadline or client disconnect.
 func (m *Metrics) ObserveCancel() { m.cancels.Add(1) }
-
-// ObserveBatch counts one dispatched lockstep batch: its instance count
-// and why it flushed (full = reached the batch width, window = the
-// formation window expired, drain = shutdown flushed a partial).
-func (m *Metrics) ObserveBatch(size int, reason string) {
-	m.batchFormed.Add(1)
-	m.batchSize.Add(int64(size))
-	m.counter(m.batchFlush, reason).Add(1)
-}
 
 // ObserveEviction counts one compiled graph evicted by LRU pressure.
 func (m *Metrics) ObserveEviction() { m.cacheEvictions.Add(1) }
@@ -248,16 +235,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 
-	if err := p("# HELP tyrd_batch_flush_total Lockstep batches dispatched, by flush reason.\n# TYPE tyrd_batch_flush_total counter\n"); err != nil {
-		return n, err
-	}
-	keys, vals = snapshot(m.batchFlush)
-	for _, k := range keys {
-		if err := p("tyrd_batch_flush_total{reason=%q} %d\n", k, vals[k]); err != nil {
-			return n, err
-		}
-	}
-
 	// Histogram families. Buckets are rendered cumulative with `le` labels
 	// ending at +Inf, sums in seconds — standard Prometheus histogram
 	// exposition, hand-rolled like the counters above.
@@ -332,8 +309,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{"tyrd_fleet_partials_total", "Sweep partials dispatched by the fleet coordinator.", "counter", m.fleetPartials.Load()},
 		{"tyrd_fleet_resheds_total", "Sweep partials re-shed after a peer failure or timeout.", "counter", m.fleetResheds.Load()},
 		{"tyrd_fleet_peer_failures_total", "Peers marked dead during a sweep.", "counter", m.fleetPeerFails.Load()},
-		{"tyrd_batch_formed_total", "Lockstep batches dispatched by the request coalescer.", "counter", m.batchFormed.Load()},
-		{"tyrd_batch_size_total", "Total run instances coalesced into dispatched batches.", "counter", m.batchSize.Load()},
 		{"tyrd_simulated_cycles_total", "Total simulated cycles served.", "counter", m.simCycles.Load()},
 		{"tyrd_graph_cache_size", "Compiled graphs resident in the in-memory LRU.", "gauge", m.cacheSize.Load()},
 		{"tyrd_active_jobs", "Pool jobs executing right now.", "gauge", m.activeJobs.Load()},

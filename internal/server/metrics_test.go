@@ -37,9 +37,6 @@ func goldenMetrics() *Metrics {
 	m.ObserveFleetPartial()
 	m.ObserveFleetReshed()
 	m.ObserveFleetPeerFailure()
-	m.ObserveBatch(8, "full")
-	m.ObserveBatch(3, "window")
-	m.ObserveBatch(2, "drain")
 	m.ObserveDuration("/v1/run", 3*time.Millisecond)
 	m.ObserveDuration("/v1/run", 700*time.Millisecond)
 	m.ObserveDuration("/v1/sweep", 80*time.Millisecond)

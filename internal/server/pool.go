@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 )
 
 // ErrBusy is returned by Pool.Submit when the backpressure queue is full;
@@ -19,18 +18,11 @@ var ErrClosed = errors.New("server: pool closed")
 // anything beyond it is rejected immediately so callers can shed load
 // instead of stacking up unbounded goroutines.
 type Pool struct {
-	jobs    chan func()
-	workers int
+	jobs chan func()
 
 	mu     sync.Mutex
 	closed bool
 	wg     sync.WaitGroup
-
-	// queued and active mirror the queueLen/activeJobs gauges but belong
-	// to the pool itself: Backlogged is a scheduling signal and must not
-	// depend on whether metrics are attached.
-	queued atomic.Int64
-	active atomic.Int64
 
 	// queueLen tracks jobs submitted but not yet started, for /v1/metrics.
 	stats *Metrics
@@ -44,20 +36,17 @@ func NewPool(workers, queueDepth int, stats *Metrics) *Pool {
 	if queueDepth < 0 {
 		queueDepth = 0
 	}
-	p := &Pool{jobs: make(chan func(), queueDepth), workers: workers, stats: stats}
+	p := &Pool{jobs: make(chan func(), queueDepth), stats: stats}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer p.wg.Done()
 			for job := range p.jobs {
-				p.active.Add(1)
-				p.queued.Add(-1)
 				if p.stats != nil {
 					p.stats.queueLen.Add(-1)
 					p.stats.activeJobs.Add(1)
 				}
 				job()
-				p.active.Add(-1)
 				if p.stats != nil {
 					p.stats.activeJobs.Add(-1)
 				}
@@ -78,7 +67,6 @@ func (p *Pool) Submit(job func()) error {
 	// The gauge goes up before the send: an idle worker can receive the job
 	// the instant it lands in the channel, and its decrement must never be
 	// able to race the increment below zero.
-	p.queued.Add(1)
 	if p.stats != nil {
 		p.stats.queueLen.Add(1)
 	}
@@ -86,23 +74,12 @@ func (p *Pool) Submit(job func()) error {
 	case p.jobs <- job:
 		return nil
 	default:
-		p.queued.Add(-1)
 		if p.stats != nil {
 			p.stats.queueLen.Add(-1)
 			p.stats.busyTotal.Add(1)
 		}
 		return ErrBusy
 	}
-}
-
-// Backlogged reports whether a job submitted now would wait for a worker:
-// earlier submissions are still queued, or every worker is mid-job. The
-// coalescer uses this to keep a batch forming while dispatching it could
-// not start it any sooner anyway. Transiently conservative (a job being
-// handed from queue to worker can count in both gauges), never falsely
-// idle.
-func (p *Pool) Backlogged() bool {
-	return p.queued.Load() > 0 || p.active.Load() >= int64(p.workers)
 }
 
 // Close stops accepting new jobs and waits for queued and in-flight jobs to

@@ -69,17 +69,6 @@ type Config struct {
 	// PeerRetries bounds re-sheds to remaining peers before a failed
 	// partial is forced local (default 1).
 	PeerRetries int
-	// BatchSize is the lockstep batch width B: up to B queued /v1/run
-	// requests sharing one compiled graph coalesce into a single pool job
-	// that advances all instances together (DESIGN.md §11), and sweep
-	// cells sharing a graph co-batch the same way. 0 or 1 disables
-	// coalescing. Each request's exec.batch can lower (never raise) its
-	// own batch's width; exec.batch=1 opts a request out entirely.
-	BatchSize int
-	// BatchWindow bounds how long the first request of a forming batch
-	// waits for batchmates before the partial batch runs anyway
-	// (default 2ms when BatchSize enables coalescing).
-	BatchWindow time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -101,9 +90,6 @@ func (c Config) withDefaults() Config {
 	if c.OracleMaxSteps <= 0 {
 		c.OracleMaxSteps = 1 << 32
 	}
-	if c.BatchSize > 1 && c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	return c
 }
 
@@ -117,7 +103,6 @@ type Server struct {
 	stats  *Metrics
 	flight *obs.FlightRecorder
 	fleet  *fleet.Coordinator // nil unless Config.Peers is set
-	batch  *Coalescer         // nil unless Config.BatchSize enables coalescing
 	log    *slog.Logger
 }
 
@@ -145,9 +130,6 @@ func New(cfg Config) *Server {
 		}),
 		log: cfg.Logger,
 	}
-	if cfg.BatchSize > 1 {
-		s.batch = newCoalescer(s, cfg.BatchSize, cfg.BatchWindow)
-	}
 	return s
 }
 
@@ -157,11 +139,9 @@ func (s *Server) Metrics() *Metrics { return s.stats }
 // Flight exposes the flight recorder (shared with the debug handler).
 func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
 
-// Close drains the service: forming batches flush so their parked
-// requests finish, then the worker pool drains — queued and executing
-// jobs complete, new submissions fail. Call after http.Server.Shutdown.
+// Close drains the service: the worker pool's queued and executing jobs
+// complete, new submissions fail. Call after http.Server.Shutdown.
 func (s *Server) Close() {
-	s.batch.Close()
 	s.pool.Close()
 }
 
@@ -482,17 +462,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	var rs metrics.RunStats
 	var runErr error
-	if bw, ok := s.batch.enqueue(t, &req, plan, sc); ok {
-		// Coalesced path: the request parks until its batch's single pool
-		// job delivers this instance's outcome (bit-identical to running
-		// it alone). A deadline firing mid-batch retires only this
-		// instance — batchmates keep running.
-		if err := bw.await(); err != nil {
-			s.writeSubmitError(w, r, err)
-			return
-		}
-		rs, runErr = bw.out.Stats, bw.out.Err
-	} else if err := s.submit(t, func() {
+	if err := s.submit(t, func() {
 		if flag.Stopped() { // deadline passed while queued: skip the compile
 			runErr = cancel.ErrStopped
 			return
@@ -567,16 +537,8 @@ func sweepGrid(req *api.SweepRequest, scale apps.Scale) (cells []sweepCell, syst
 
 // runSweepCells executes a slice of grid cells sequentially on the calling
 // goroutine (a pool worker), returning one RunStats per cell in order.
-// With coalescing enabled, cells sharing a compiled graph (the same
-// kernel on co-batchable systems — tyr and unordered share the tagged
-// lowering) advance together in lockstep batches instead, unless an
-// engine trace capture is configured: the capture ring is per-request,
-// and batch instances must not share a tracer.
 func (s *Server) runSweepCells(t *obs.RequestTrace, flag *cancel.Flag, req *api.SweepRequest, cc *cache.Config, cells []sweepCell) ([]metrics.RunStats, error) {
 	tracer := t.Tracer()
-	if s.cfg.BatchSize > 1 && tracer == nil {
-		return s.runSweepCellsBatched(t, flag, req, cc, cells)
-	}
 	runs := make([]metrics.RunStats, 0, len(cells))
 	for _, cell := range cells {
 		if flag.Stopped() {
@@ -607,60 +569,6 @@ func (s *Server) runSweepCells(t *obs.RequestTrace, flag *cancel.Flag, req *api.
 		t.SetAttr(run, "peak_tags", int64(rs.PeakTags))
 		s.stats.ObserveRun(rs.System, rs.Cycles)
 		runs = append(runs, rs)
-	}
-	return runs, nil
-}
-
-// runSweepCellsBatched is runSweepCells with graph-sharing cells grouped
-// into lockstep batches (still on this one pool worker — the batch IS
-// the job, so the sweep's one-worker cost model holds). Results scatter
-// back to grid-cell order, and each cell's stats are bit-identical to
-// its sequential run.
-func (s *Server) runSweepCellsBatched(t *obs.RequestTrace, flag *cancel.Flag, req *api.SweepRequest, cc *cache.Config, cells []sweepCell) ([]metrics.RunStats, error) {
-	keys := make([]string, len(cells))
-	systems := make([]string, len(cells))
-	for i, cell := range cells {
-		lowering := "tagged"
-		if cell.sys == harness.SysOrdered {
-			lowering = "ordered"
-		}
-		keys[i] = lowering + ":" + sourceHash(lowering, cell.app).String()
-		systems[i] = cell.sys
-	}
-	runs := make([]metrics.RunStats, len(cells))
-	for _, group := range harness.BatchGroups(keys, systems, s.cfg.BatchSize) {
-		if flag.Stopped() {
-			return nil, cancel.ErrStopped
-		}
-		items := make([]harness.BatchItem, len(group))
-		for j, i := range group {
-			items[j] = harness.BatchItem{App: cells[i].app, System: cells[i].sys, Cfg: harness.SysConfig{
-				IssueWidth: req.IssueWidth,
-				Tags:       req.Tags,
-				Cache:      cc,
-				Stop:       flag,
-				Compiler:   s.spanGraphs(t),
-				TraceID:    t.ID(),
-			}}
-		}
-		label := cells[group[0]].app.Name + "/" + cells[group[0]].sys
-		run := t.StartSpan(fmt.Sprintf("run %s x%d", label, len(group)), obs.RootSpan)
-		outs, err := harness.RunBatch(items)
-		s.endStage(t, run, "run")
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", label, err)
-		}
-		t.SetAttr(run, "batch", int64(len(group)))
-		if len(group) > 1 {
-			s.stats.ObserveBatch(len(group), "sweep")
-		}
-		for j, i := range group {
-			if outs[j].Err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", cells[i].app.Name, cells[i].sys, outs[j].Err)
-			}
-			s.stats.ObserveRun(outs[j].Stats.System, outs[j].Stats.Cycles)
-			runs[i] = outs[j].Stats
-		}
 	}
 	return runs, nil
 }

@@ -359,12 +359,12 @@ func TestRunResponseIsCompact(t *testing.T) {
 }
 
 // TestExecContract pins the exec block through the handler: exec.shards
-// still decodes as 0 or 1 and changes nothing, a larger count is a
-// structured 400 on that field (never silently ignored), the removed
-// top-level "shards" is an unknown field, and exec.batch, exec.deadline_ms,
-// and the deprecated timeout_ms keep their meaning.
+// and exec.batch still decode as 0 or 1 and change nothing, any other
+// value is a structured 400 on that field with a removal note (never
+// silently ignored), the removed top-level "shards" is an unknown field,
+// and exec.deadline_ms and the deprecated timeout_ms keep their meaning.
 func TestExecContract(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, BatchSize: 4})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
 	const base = `"system":"tyr","app":"dmv","scale":"tiny"`
 	post := func(body string) (int, []byte) {
 		resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/run", json.RawMessage("{"+body+"}"))
@@ -390,8 +390,10 @@ func TestExecContract(t *testing.T) {
 		{"exec.shards=1", `"exec":{"shards":1}`, http.StatusOK, "", ""},
 		{"exec.shards=4", `"exec":{"shards":4}`, http.StatusBadRequest, "exec.shards", "removed"},
 		{"top-level shards", `"shards":4`, http.StatusBadRequest, "", ""},
-		{"exec.batch", `"exec":{"batch":4}`, http.StatusOK, "", ""},
-		{"exec.batch<0", `"exec":{"batch":-1}`, http.StatusBadRequest, "exec.batch", ""},
+		{"exec.batch=0", `"exec":{"batch":0}`, http.StatusOK, "", ""},
+		{"exec.batch", `"exec":{"batch":1}`, http.StatusOK, "", ""},
+		{"exec.batch=2", `"exec":{"batch":2}`, http.StatusBadRequest, "exec.batch", "lockstep batching was removed"},
+		{"exec.batch<0", `"exec":{"batch":-1}`, http.StatusBadRequest, "exec.batch", "lockstep batching was removed"},
 		{"exec.deadline_ms", `"exec":{"deadline_ms":60000}`, http.StatusOK, "", ""},
 		{"timeout_ms", `"timeout_ms":60000`, http.StatusOK, "", ""},
 		{"timeout_ms conflict", `"timeout_ms":60000,"exec":{"deadline_ms":30000}`,
@@ -722,6 +724,26 @@ func TestShadowingSourceRejected(t *testing.T) {
 	}
 
 	resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/run", api.Request{App: "dmv", Scale: "tiny", System: "vN"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("plain run after the rejected source: status = %d; body: %s", resp.StatusCode, out)
+	}
+}
+
+// TestOversizedMemorySourceRejected pins that a source declaring more
+// memory than prog.MaxMemWords is refused by Check with the usual 422
+// before any image is allocated, and that tyrd keeps serving.
+func TestOversizedMemorySourceRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	body := `{"system":"vN","source":"program \"big\" entry main\nmem data[4000000000]\nfunc main() {\n  return 0\n}\n"}`
+	resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/run", json.RawMessage(body))
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("oversized mem source: status %d, want 422; body: %s", resp.StatusCode, out)
+	}
+	var eb api.ErrorBody
+	if err := json.Unmarshal(out, &eb); err != nil || !strings.Contains(eb.Error, "exceed") {
+		t.Errorf("error body %s does not name the memory bound (%v)", out, err)
+	}
+	resp, out = postJSON(t, ts.Client(), ts.URL+"/v1/run", api.Request{App: "dmv", Scale: "tiny", System: "vN"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plain run after the rejected source: status = %d; body: %s", resp.StatusCode, out)
 	}

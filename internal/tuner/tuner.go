@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 )
 
 // Options configures a search.
@@ -32,7 +33,7 @@ type Options struct {
 	// MaxSlowdown is the tolerated execution-time increase relative to
 	// the uniform baseline, as a fraction (default 0.05 = 5%).
 	MaxSlowdown float64
-	// IssueWidth for all trial runs (default 128).
+	// IssueWidth for all trial runs (0 = the engine default, 128).
 	IssueWidth int
 	// MaxTrials caps the number of simulations (default 64).
 	MaxTrials int
@@ -40,16 +41,13 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.BaselineTags == 0 {
-		o.BaselineTags = 64
+		o.BaselineTags = metrics.DefaultTags
 	}
 	if o.MinTags < 2 {
 		o.MinTags = 2
 	}
 	if o.MaxSlowdown == 0 {
 		o.MaxSlowdown = 0.05
-	}
-	if o.IssueWidth == 0 {
-		o.IssueWidth = 128
 	}
 	if o.MaxTrials == 0 {
 		o.MaxTrials = 64
