@@ -134,7 +134,8 @@ func (m *model) Boundary(_ prog.BoundaryKind, live int) {
 		m.rec.Record(trace.Event{Cycle: m.instrs, Kind: trace.KindBoundary,
 			Node: trace.NoNode, Src: trace.NoNode, Val: m.lastLive})
 	}
-	m.trace.SampleBoundary(m.instrs, m.lastLive)
+	// The trace runs on the cycle clock, stalls included, like Cycles.
+	m.trace.SampleBoundary(m.instrs+m.stalls, m.lastLive)
 }
 
 // Run executes the program under the vN cost model.
